@@ -65,7 +65,6 @@ from .enumeration import (
     ErdosClass,
     canonical_form,
     enumerate_erdos,
-    set_canonical_key,
 )
 from .sampling import random_bistochastic, random_permutation
 from .surd import Surd, delta2, omega2, omega2_classes, sqrt_rational
@@ -120,7 +119,6 @@ __all__ = [
     "ErdosClass",
     "canonical_form",
     "enumerate_erdos",
-    "set_canonical_key",
     "random_bistochastic",
     "random_permutation",
     "Surd",

@@ -71,9 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="wall-clock limit, e.g. 30s, 10m, 1h")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes (default: $ERDOSMAT_WORKERS or 1)")
-    p.add_argument("--engine", choices=("auto", "jit", "numpy", "exact"), default="auto")
-    p.add_argument("--set-filter", action="store_true",
-                   help="pre-filter equivalent supports before solving (exact engine)")
     p.add_argument("--quiet", action="store_true", help="suppress progress on stderr")
     _common_flags(p)
     p.set_defaults(func=cmd_enumerate)
@@ -214,8 +211,6 @@ def cmd_enumerate(args) -> int:
         max_support=args.max_support,
         budget=budget,
         workers=args.workers,
-        engine=args.engine,
-        use_set_filter=args.set_filter,
         progress=progress,
     )
     if args.format == "json":

@@ -2,10 +2,12 @@
 
 The search walks subsets of permutation matrices that contain the
 identity (fixing it costs no generality up to equivalence), extends only
-while the set stays linearly independent (incremental fraction-free rank
-tracking carried down the tree), runs the candidate pipeline at every
-node, and deduplicates accepted matrices by their canonical form under
-row/column permutation equivalence.
+while the set stays linearly independent, runs the candidate pipeline at
+every node, and deduplicates accepted matrices by their canonical form
+under row/column permutation equivalence.  Supports of one and two
+elements go through the rational pipeline of ``gram``; larger ones
+through the integer walk of ``kernels``, which carries one fraction-free
+elimination of the Gram system down the tree.
 
 Work is sharded at the top two tree levels: each shard is an independent
 prefix {I, a, b} whose subtree one worker owns.  Shard results merge by
@@ -18,14 +20,13 @@ pipeline after canonicalization.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from multiprocessing import get_context
-
-import numpy as np
 
 from . import gram as gram_mod
 from . import kernels
@@ -35,20 +36,8 @@ from .perms import Permutation
 from .rational import format_rational
 
 CANON_CAP = 6
-ENGINES = ("auto", "jit", "numpy", "exact")
-
-# conservative nodes/second guesses used to translate a wall-clock budget
-# into per-shard node caps; undershooting only truncates a little early
-_NODE_RATE_GUESS = {"jit": 200_000, "numpy": 5_000, "exact": 500}
-
-
-def _node_cap_for(engine: str, deadline: float | None) -> int:
-    if deadline is None:
-        return 1 << 60
-    remaining = deadline - time.time()
-    if remaining <= 0:
-        return 1
-    return max(10_000, int(remaining * _NODE_RATE_GUESS[engine]))
+# the one search algorithm, named in every report
+ENGINE = "int-walk"
 
 
 @dataclass(frozen=True)
@@ -103,26 +92,24 @@ class EnumerationReport:
 
 
 class _Tables:
-    """Per-dimension lookup tables shared by the search kernels."""
+    """Per-dimension lookup tables shared by the search, indexed by rank.
+
+    ``pos[g]`` lists the row-major positions of the ones of permutation
+    matrix g, one per column; ``agree[g][h]`` is the agreement count of g
+    and h, the Frobenius inner product of their matrices.
+    """
 
     def __init__(self, n: int):
         self.n = n
         self.perms = tuple(
             Permutation(p) for p in itertools.permutations(range(n))
         )
-        nf = len(self.perms)
-        images = np.array([p.images for p in self.perms], np.int64)
-        self.pmats = np.zeros((nf, n * n), np.int64)
-        self.pos = np.zeros((nf, n), np.int64)
-        for g, p in enumerate(self.perms):
-            for j, i in enumerate(p.images):
-                self.pmats[g, i * n + j] = 1
-                self.pos[g, j] = i * n + j
-        self.agree = np.zeros((nf, nf), np.int64)
-        for g in range(nf):
-            self.agree[g] = (images == images[g]).sum(axis=1)
-        self.flat_rows = tuple(
-            tuple(int(v) for v in self.pmats[g]) for g in range(nf)
+        self.pos = tuple(
+            tuple(i * n + j for j, i in enumerate(p.images)) for p in self.perms
+        )
+        images = [p.images for p in self.perms]
+        self.agree = tuple(
+            tuple(sum(map(operator.eq, a, b)) for b in images) for a in images
         )
 
 
@@ -162,33 +149,6 @@ def canonical_form(a: BistochasticMatrix) -> BistochasticMatrix:
             best = (rp, cols)
     rp, cols = best
     return BistochasticMatrix([[a[r][c] for c in cols] for r in rp])
-
-
-def set_canonical_key(perms) -> tuple:
-    """A key constant on the orbits of family equivalence {P g Q : g in S}.
-
-    Restricted to collections containing the identity; the key is the
-    least sorted rank tuple of the translated set over all translations
-    that keep the identity inside it.
-    """
-    perms = list(perms)
-    if not perms:
-        raise ValueError("need at least one permutation")
-    n = perms[0].n
-    if n > CANON_CAP:
-        raise ValueError(f"set keys are capped at n={CANON_CAP}, got {n}")
-    if not any(p.is_identity() for p in perms):
-        raise ValueError("collection must contain the identity")
-    best = None
-    for p in itertools.permutations(range(n)):
-        left = Permutation(p)
-        linv = left.inverse()
-        for h in perms:
-            right = h.inverse() * linv
-            key = tuple(sorted((left * g * right).rank() for g in perms))
-            if best is None or key < best:
-                best = key
-    return best
 
 
 class _Collector:
@@ -258,151 +218,32 @@ class _Collector:
 def _pipeline_at(tables: _Tables, support_ranks, method: str = "auto"):
     """Exact pipeline on a support known to be linearly independent."""
     perms = [tables.perms[r] for r in support_ranks]
-    rows = [
-        [int(tables.agree[a, b]) for b in support_ranks] for a in support_ranks
-    ]
+    rows = [[tables.agree[a][b] for b in support_ranks] for a in support_ranks]
     return gram_mod._pipeline_known_independent(perms, rows, method)
-
-
-class _IntBasis:
-    """Incremental fraction-free row basis over Python integers (no overflow)."""
-
-    def __init__(self):
-        self.rows = []
-        self.pivcol = []
-        self.pivval = []
-
-    def try_push(self, vec) -> bool:
-        """Reduce vec against the basis; push and return True if independent."""
-        vec = list(vec)
-        prev = 1
-        for row, pc, pv in zip(self.rows, self.pivcol, self.pivval):
-            c = vec[pc]
-            for j in range(len(vec)):
-                num = pv * vec[j] - c * row[j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("non-exact division in basis reduction")
-                vec[j] = q
-            prev = pv
-        for j, v in enumerate(vec):
-            if v:
-                self.rows.append(vec)
-                self.pivcol.append(j)
-                self.pivval.append(v)
-                return True
-        return False
-
-    def pop(self):
-        self.rows.pop()
-        self.pivcol.pop()
-        self.pivval.pop()
-
-
-def _walk_exact(
-    tables: _Tables,
-    collector: _Collector,
-    prefix_ranks,
-    max_support: int,
-    node_cap: int,
-    filter_seen: set | None = None,
-) -> bool:
-    """Exact-arithmetic twin of the kernel walk (prefix node included).
-
-    Used for the ``exact`` engine and for subtrees the kernel deferred.
-    Returns True when truncated by node_cap.
-    """
-    nperms = len(tables.perms)
-    basis = _IntBasis()
-    for r in prefix_ranks[:-1]:
-        if not basis.try_push(tables.flat_rows[r]):
-            raise RuntimeError("prefix is not linearly independent")
-    support = list(prefix_ranks[:-1])
-    truncated = False
-
-    def visit(g, depth_start):
-        nonlocal truncated
-        if truncated:
-            return
-        if not basis.try_push(tables.flat_rows[g]):
-            collector.dep += 1
-            return
-        support.append(g)
-        if collector.visited >= node_cap:
-            truncated = True
-        else:
-            collector.visited += 1
-            run = True
-            if filter_seen is not None:
-                key = set_canonical_key([tables.perms[r] for r in support])
-                if key in filter_seen:
-                    run = False
-                else:
-                    filter_seen.add(key)
-            if run:
-                res = _pipeline_at(tables, support)
-                collector.record_pipeline(tables, support, res)
-            if len(support) < max_support:
-                for h in range(depth_start, nperms):
-                    if truncated:
-                        break
-                    visit(h, h + 1)
-        support.pop()
-        basis.pop()
-
-    visit(prefix_ranks[-1], prefix_ranks[-1] + 1)
-    return truncated
-
-
-def _resolve_engine(engine: str, n: int) -> str:
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if engine == "auto":
-        # tiny dimensions finish instantly interpreted; JIT pays off from n=4
-        if n <= 3 or not kernels.JIT_ENABLED:
-            return "numpy"
-        return "jit"
-    return engine
 
 
 def _shard_batch(args):
     """Worker entry: run a batch of shard prefixes, return mergeable results.
 
     ``deadline`` is wall-clock (time.time) so it stays meaningful across
-    worker processes; it is checked between shards, and inside a shard
-    through the node cap.
+    worker processes; the walk reads it at the start of every shard and
+    every ``kernels.CLOCK_EVERY`` nodes within one.
     """
-    n, engine, max_support, deadline, prefixes = args
+    n, max_support, deadline, prefixes = args
     tables = get_tables(n)
     collector = _Collector(n)
-    deferred = []
     truncated = False
-    walk = kernels.get_walk(engine) if engine != "exact" else None
     for prefix in prefixes:
-        if deadline is not None and time.time() >= deadline:
-            truncated = True
-        if truncated:
-            break
-        node_cap = _node_cap_for(engine, deadline)
-        if engine == "exact":
-            truncated = _walk_exact(tables, collector, prefix, max_support, node_cap)
-            continue
-        stats, accepted, defers, trunc = kernels.run_shard(
-            walk,
-            tables.pmats,
-            tables.pos,
-            tables.agree,
-            prefix,
-            max_support,
-            node_cap,
+        stats, accepted, truncated = kernels.run_shard(
+            tables, prefix, max_support, deadline
         )
         collector.merge_counters(*stats)
         for support_ranks, u, s in accepted:
             collector.record_candidate(tables, support_ranks, u, s)
-        deferred.extend(defers)
-        truncated = trunc
+        if truncated:
+            break
     counters = (collector.visited, collector.dep, collector.neg, collector.maxtr)
-    return counters, collector.raws, deferred, truncated
+    return counters, collector.raws, truncated
 
 
 def enumerate_erdos(
@@ -410,8 +251,6 @@ def enumerate_erdos(
     max_support: int | None = None,
     budget: float | None = None,
     workers: int | None = None,
-    engine: str = "auto",
-    use_set_filter: bool = False,
     progress=None,
 ) -> EnumerationReport:
     """Enumerate all Erdos classes in dimension n, up to equivalence.
@@ -422,9 +261,13 @@ def enumerate_erdos(
     class.  ``budget`` is a wall-clock limit in seconds; truncated runs
     report ``complete=False`` with the partial classes still verified.
 
-    ``use_set_filter`` pre-filters equivalent supports by
-    ``set_canonical_key`` before solving; it is a pure optimization that
-    never changes the class list and forces the exact engine.
+    Budget slack: the clock is read before every support of size two, at
+    the start of every shard and every ``kernels.CLOCK_EVERY``
+    (1,024) nodes inside one, so the search stops at most that many nodes
+    past the deadline, about 0.05 s at n = 4.  Building the lookup tables
+    before the search and the classes after it (one canonical form per
+    distinct matrix found, about 1.5 ms each at n = 5) are not cut short
+    and come on top.
     """
     if not 2 <= n <= CANON_CAP:
         raise ValueError(f"enumeration supports 2 <= n <= {CANON_CAP}, got {n}")
@@ -437,9 +280,6 @@ def enumerate_erdos(
         workers = int(os.environ.get("ERDOSMAT_WORKERS", "1"))
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    if use_set_filter:
-        engine = "exact"
-    engine = _resolve_engine(engine, n)
 
     t0 = time.perf_counter()
     deadline = time.time() + budget if budget is not None else None
@@ -447,18 +287,12 @@ def enumerate_erdos(
     nperms = factorial(n)
     collector = _Collector(n)
     complete = True
-    filter_seen: set | None = set() if use_set_filter else None
 
     def out_of_time() -> bool:
         return deadline is not None and time.time() >= deadline
 
     def shallow_node(ranks) -> None:
         collector.visited += 1
-        if filter_seen is not None:
-            key = set_canonical_key([tables.perms[r] for r in ranks])
-            if key in filter_seen:
-                return
-            filter_seen.add(key)
         res = _pipeline_at(tables, ranks)
         collector.record_pipeline(tables, ranks, res)
 
@@ -475,17 +309,13 @@ def enumerate_erdos(
     # sizes >= 3 are sharded by the first two non-identity elements
     if max_support >= 3 and complete:
         shards = [(0, a, b) for a in range(1, nperms) for b in range(a + 1, nperms)]
-        if engine == "jit":
-            kernels.warmup(tables.pmats, tables.pos, tables.agree)
-        deferred = []
         done = 0
 
         def consume(result) -> bool:
             nonlocal complete, done
-            counters, raws, defers, truncated = result
+            counters, raws, truncated = result
             collector.merge_counters(*counters)
             collector.merge_raws(raws)
-            deferred.extend(defers)
             done += 1
             if progress is not None:
                 progress(done, n_batches)
@@ -493,30 +323,10 @@ def enumerate_erdos(
                 complete = False
             return complete and not out_of_time()
 
-        if use_set_filter:
-            # key filtering needs one shared seen-set: run in-process
+        if workers == 1:
             n_batches = len(shards)
             for prefix in shards:
-                truncated = _walk_exact(
-                    tables,
-                    collector,
-                    prefix,
-                    max_support,
-                    _node_cap_for(engine, deadline),
-                    filter_seen,
-                )
-                done += 1
-                if progress is not None:
-                    progress(done, n_batches)
-                if truncated:
-                    complete = False
-                    break
-                if out_of_time():
-                    break
-        elif workers == 1 or engine == "exact":
-            n_batches = len(shards)
-            for prefix in shards:
-                result = _shard_batch((n, engine, max_support, deadline, [prefix]))
+                result = _shard_batch((n, max_support, deadline, [prefix]))
                 if not consume(result):
                     break
         else:
@@ -525,27 +335,13 @@ def enumerate_erdos(
             n_batches = len(batches)
             ctx = get_context("fork")
             with ctx.Pool(workers) as pool:
-                jobs = [
-                    (n, engine, max_support, deadline, batch) for batch in batches
-                ]
+                jobs = [(n, max_support, deadline, batch) for batch in batches]
                 for result in pool.imap(_shard_batch, jobs):
                     if not consume(result):
                         pool.terminate()
                         break
         if out_of_time() and done < n_batches:
             complete = False
-
-        # guarded-out work re-runs through the exact rational path
-        for support_ranks, kind in deferred:
-            if kind == kernels.DEFER_NODE:
-                res = _pipeline_at(tables, support_ranks)
-                collector.record_pipeline(tables, support_ranks, res)
-            else:
-                truncated = _walk_exact(
-                    tables, collector, support_ranks, max_support, 1 << 60
-                )
-                if truncated:
-                    complete = False
 
     classes = _build_classes(tables, collector)
     elapsed = time.perf_counter() - t0
@@ -558,7 +354,7 @@ def enumerate_erdos(
         rejected_maxtr=collector.maxtr,
         elapsed=elapsed,
         complete=complete,
-        engine=engine,
+        engine=ENGINE,
         workers=workers,
     )
 

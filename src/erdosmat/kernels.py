@@ -1,458 +1,197 @@
-"""Integer hot kernel for the enumeration search.
+"""The enumeration walk: one exact depth-first search over Python ints.
 
-The depth-first walk over linearly independent permutation collections
-is one self-contained int64 function over numpy arrays.  It is compiled
-with numba's @njit when available and enabled (env ERDOSMAT_JIT, default
-on) and runs as the same function interpreted over numpy otherwise, so
-both modes share one code path and produce identical results.
+The walk visits the linearly independent supersets of a shard prefix,
+extending by permutations of increasing rank.  One fraction-free
+(Bareiss) elimination of the Gram system ``[G | 1]``, grown by one row
+and column per added permutation, does all the linear algebra: its new
+pivot is the Gram determinant of the extended support, which is zero
+exactly when the extension is linearly dependent, and its back
+substitution gives the candidate weights.  Each candidate is then checked
+for nonnegativity and for the Erdos property in integers.
 
-Exactness: all arithmetic is integer (fraction-free Bareiss elimination,
-Cramer-scaled Gram solves, integer Erdos checks).  Every multiplication
-is preceded by a magnitude guard; when a guard trips, the node or whole
-subtree is deferred to the caller, which re-runs it through the exact
-rational pipeline.  Guards therefore affect speed, never results.
+All arithmetic is on Python ints, which cannot overflow.  Bareiss
+divisions are exact in theory; each one is checked, and a remainder
+raises ``ArithmeticError`` instead of being rounded away.
 """
 
 from __future__ import annotations
 
-import os
+import time
+from math import gcd
+from operator import itemgetter
 
-import numpy as np
-
-
-def _env_flag(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "no", "off")
+# the clock is read once per this many visited nodes
+CLOCK_EVERY = 1024
 
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        return wrap
+class _Deadline(Exception):
+    """Raised inside the walk when the deadline has passed."""
 
 
-JIT_ENABLED = HAVE_NUMBA and _env_flag("ERDOSMAT_JIT", True)
+def _exact_div(nums: list, d: int) -> list:
+    """``[x // d for x in nums]``, raising unless every division is exact.
 
-# operand magnitude cap: products of two guarded operands stay well inside
-# int64, and sums of up to ~30 such products cannot overflow either
-GUARD = 1 << 28
-
-# status bits returned by the walk
-TRUNCATED = 1
-ACCEPT_OVERFLOW = 2
-DEFER_OVERFLOW = 4
-PREFIX_ERROR = 8
-
-# counter indices
-C_VISITED, C_DEP, C_NEG, C_MAX, C_ACC, C_DEFER = 0, 1, 2, 3, 4, 5
-
-# defer kinds
-DEFER_SUBTREE = 0
-DEFER_NODE = 1
-
-
-def _walk_impl(
-    pmats,
-    pos,
-    agree,
-    prefix,
-    max_support,
-    node_cap,
-    counters,
-    acc_sup,
-    acc_u,
-    acc_s,
-    acc_m,
-    def_sup,
-    def_m,
-    def_kind,
-):
-    """DFS over independent supersets of ``prefix`` along increasing rank.
-
-    The prefix itself is processed as the first node; extensions use
-    permutation indices greater than the last prefix element.  Every
-    visited node is linearly independent by construction; its Gram system
-    is solved in integers and accepted candidates are written to the
-    ``acc_*`` buffers as (support, u, s) with weights u/s.
+    Floor-division remainders all share the sign of ``d``, so they are
+    all zero exactly when their sum is.
     """
-    nperms = pmats.shape[0]
-    n2 = pmats.shape[1]
-    n = pos.shape[1]
-    m0 = prefix.shape[0]
-    acc_cap = acc_s.shape[0]
-    def_cap = def_m.shape[0]
-
-    support = np.zeros(max_support, np.int64)
-    basis = np.zeros((max_support, n2), np.int64)
-    pivcol = np.zeros(max_support, np.int64)
-    pivval = np.zeros(max_support, np.int64)
-    rowmax = np.zeros(max_support, np.int64)
-    nextg = np.zeros(max_support + 1, np.int64)
-    gwork = np.zeros((max_support, max_support + 1), np.int64)
-    u = np.zeros(max_support, np.int64)
-    anum = np.zeros(n2, np.int64)
-
-    status = 0
-    base = m0 - 1
-
-    # seed the basis with all but the last prefix element
-    for k in range(base):
-        support[k] = prefix[k]
-        for j in range(n2):
-            basis[k, j] = pmats[prefix[k], j]
-        # fraction-free reduction against earlier rows
-        prev = 1
-        vmax = 1
-        for r in range(k):
-            pr = pivval[r]
-            c = basis[k, pivcol[r]]
-            nmax = 0
-            for j in range(n2):
-                nv = (pr * basis[k, j] - c * basis[r, j]) // prev
-                basis[k, j] = nv
-                if nv < 0:
-                    nv = -nv
-                if nv > nmax:
-                    nmax = nv
-            vmax = nmax
-            prev = pr
-        pc = -1
-        for j in range(n2):
-            if basis[k, j] != 0:
-                pc = j
-                break
-        if pc < 0:
-            return PREFIX_ERROR
-        pivcol[k] = pc
-        pivval[k] = basis[k, pc]
-        rowmax[k] = vmax
-
-    depth = base
-    nextg[depth] = prefix[base]
-    while depth >= base:
-        if depth == base:
-            stop = prefix[base] + 1
-        else:
-            stop = nperms
-        g = nextg[depth]
-        if g >= stop:
-            depth -= 1
-            continue
-        nextg[depth] = g + 1
-
-        # ---- try to extend the basis with permutation g (fraction-free) ----
-        for j in range(n2):
-            basis[depth, j] = pmats[g, j]
-        prev = 1
-        vmax = 1
-        guard_hit = False
-        for r in range(depth):
-            pr = pivval[r]
-            pa = pr if pr >= 0 else -pr
-            c = basis[depth, pivcol[r]]
-            ca = c if c >= 0 else -c
-            if pa > GUARD or ca > GUARD or vmax > GUARD or rowmax[r] > GUARD:
-                guard_hit = True
-                break
-            nmax = 0
-            for j in range(n2):
-                nv = (pr * basis[depth, j] - c * basis[r, j]) // prev
-                basis[depth, j] = nv
-                if nv < 0:
-                    nv = -nv
-                if nv > nmax:
-                    nmax = nv
-            vmax = nmax
-            prev = pr
-        if guard_hit:
-            # defer the whole subtree rooted at this extension
-            if counters[C_DEFER] >= def_cap:
-                return status | DEFER_OVERFLOW
-            idx = counters[C_DEFER]
-            for k in range(depth):
-                def_sup[idx, k] = support[k]
-            def_sup[idx, depth] = g
-            def_m[idx] = depth + 1
-            def_kind[idx] = DEFER_SUBTREE
-            counters[C_DEFER] += 1
-            continue
-        pc = -1
-        for j in range(n2):
-            if basis[depth, j] != 0:
-                pc = j
-                break
-        if pc < 0:
-            counters[C_DEP] += 1
-            continue
-        pivcol[depth] = pc
-        pivval[depth] = basis[depth, pc]
-        rowmax[depth] = vmax
-        support[depth] = g
-
-        # ---- new independent node: run the integer pipeline ----
-        if counters[C_VISITED] >= node_cap:
-            return status | TRUNCATED
-        counters[C_VISITED] += 1
-        m = depth + 1
-
-        # Gram system [G | 1], Bareiss forward elimination; the Gram matrix
-        # of an independent support is positive definite, so diagonal
-        # pivots are its positive leading principal minors
-        for i in range(m):
-            for j in range(m):
-                gwork[i, j] = agree[support[i], support[j]]
-            gwork[i, m] = 1
-        ok = True
-        prev = 1
-        for r in range(m):
-            pv = gwork[r, r]
-            if pv <= 0 or pv > GUARD:
-                ok = False
-                break
-            for i in range(r + 1, m):
-                f = gwork[i, r]
-                fa = f if f >= 0 else -f
-                if fa > GUARD:
-                    ok = False
-                    break
-                for j in range(r, m + 1):
-                    x = gwork[i, j]
-                    xa = x if x >= 0 else -x
-                    y = gwork[r, j]
-                    ya = y if y >= 0 else -y
-                    if xa > GUARD or ya > GUARD:
-                        ok = False
-                        break
-                    gwork[i, j] = (pv * x - f * y) // prev
-                if not ok:
-                    break
-            if not ok:
-                break
-            prev = pv
-        s = np.int64(0)
-        if ok:
-            # back substitution for u = det * y (integral by Cramer)
-            detv = gwork[m - 1, m - 1]
-            if detv > GUARD:
-                ok = False
-            else:
-                for i in range(m - 1, -1, -1):
-                    rhs = gwork[i, m]
-                    ra = rhs if rhs >= 0 else -rhs
-                    if ra > GUARD:
-                        ok = False
-                        break
-                    acc = detv * rhs
-                    for j in range(i + 1, m):
-                        x = gwork[i, j]
-                        xa = x if x >= 0 else -x
-                        uj = u[j]
-                        ua = uj if uj >= 0 else -uj
-                        if xa > GUARD or ua > GUARD:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                    for j in range(i + 1, m):
-                        acc -= gwork[i, j] * u[j]
-                    u[i] = acc // gwork[i, i]
-                    ui = u[i]
-                    if (ui if ui >= 0 else -ui) > GUARD:
-                        ok = False
-                        break
-            if ok:
-                for i in range(m):
-                    s += u[i]
-                if s <= 0:
-                    ok = False
-        if not ok:
-            # defer just this node's pipeline to the exact path
-            if counters[C_DEFER] >= def_cap:
-                return status | DEFER_OVERFLOW
-            idx = counters[C_DEFER]
-            for k in range(m):
-                def_sup[idx, k] = support[k]
-            def_m[idx] = m
-            def_kind[idx] = DEFER_NODE
-            counters[C_DEFER] += 1
-        else:
-            neg = False
-            for i in range(m):
-                if u[i] < 0:
-                    neg = True
-                    break
-            if neg:
-                counters[C_NEG] += 1
-            else:
-                # remove the common factor of (u, s); gcd(u) divides s = sum(u)
-                gg = np.int64(0)
-                for i in range(m):
-                    a = u[i]
-                    b = gg
-                    while b:
-                        a, b = b, a % b
-                    gg = a
-                if gg > 1:
-                    for i in range(m):
-                        u[i] //= gg
-                    s //= gg
-                if s > GUARD:
-                    if counters[C_DEFER] >= def_cap:
-                        return status | DEFER_OVERFLOW
-                    idx = counters[C_DEFER]
-                    for k in range(m):
-                        def_sup[idx, k] = support[k]
-                    def_m[idx] = m
-                    def_kind[idx] = DEFER_NODE
-                    counters[C_DEFER] += 1
-                else:
-                    # integer Erdos check: frob == s * maxtr on numerators
-                    for j in range(n2):
-                        acc = np.int64(0)
-                        for k in range(m):
-                            acc += u[k] * pmats[support[k], j]
-                        anum[j] = acc
-                    frob = np.int64(0)
-                    for j in range(n2):
-                        frob += anum[j] * anum[j]
-                    best = np.int64(0)
-                    for w in range(nperms):
-                        t = np.int64(0)
-                        for jj in range(n):
-                            t += anum[pos[w, jj]]
-                        if t > best:
-                            best = t
-                    if frob == s * best:
-                        if counters[C_ACC] >= acc_cap:
-                            return status | ACCEPT_OVERFLOW
-                        idx = counters[C_ACC]
-                        for k in range(m):
-                            acc_sup[idx, k] = support[k]
-                            acc_u[idx, k] = u[k]
-                        acc_s[idx] = s
-                        acc_m[idx] = m
-                        counters[C_ACC] += 1
-                    else:
-                        counters[C_MAX] += 1
-
-        # ---- descend ----
-        if depth + 1 < max_support:
-            depth += 1
-            nextg[depth] = g + 1
-    return status
+    if d == 1:
+        return nums
+    q = [x // d for x in nums]
+    if sum(nums) != d * sum(q):
+        raise ArithmeticError("non-exact division in Bareiss elimination")
+    return q
 
 
-if JIT_ENABLED:
-    _walk_jit = njit(cache=True)(_walk_impl)
-else:  # pragma: no cover - exercised via ERDOSMAT_JIT=0
-    _walk_jit = None
+class _GramElimination:
+    """Bareiss elimination of ``[G | 1]``, grown by one support element at a time.
 
+    G is the Gram matrix of the flattened permutation matrices of the
+    support: ``G[i][j]`` is the agreement count of elements i and j.  Row k
+    of the elimination holds ``a_kj``, the minor of G on rows 0..k and
+    columns 0..k-1, j (Sylvester's identity).  That minor involves no later
+    row, so appending an element leaves rows 0..k-1 unchanged apart from
+    their entry in the new column; G being symmetric, that entry
+    ``a_k,new`` equals ``a_new,k``, the value the new row holds in column k
+    just before step k eliminates it.  A push therefore costs O(m^2), not
+    the O(m^3) of a fresh elimination.
 
-def get_walk(engine: str):
-    """The walk callable for ``engine`` in {"jit", "numpy"}."""
-    if engine == "jit":
-        if _walk_jit is None:
-            raise ValueError("numba JIT is unavailable or disabled (ERDOSMAT_JIT=0)")
-        return _walk_jit
-    if engine == "numpy":
-        return _walk_impl
-    raise ValueError(f"unknown kernel engine {engine!r}")
-
-
-def run_shard(
-    walk,
-    pmats,
-    pos,
-    agree,
-    prefix,
-    max_support: int,
-    node_cap: int,
-    acc_cap: int = 4096,
-    def_cap: int = 1024,
-):
-    """Run one walk shard, growing the output buffers on overflow.
-
-    Returns (counters, accepted, deferred, truncated) with ``accepted`` a
-    list of (support tuple, u tuple, s) and ``deferred`` a list of
-    (support tuple, kind).
+    The pivots ``a_kk`` are the leading principal minors of G.  A Gram
+    matrix is positive semidefinite, and its determinant vanishes exactly
+    when the vectors are linearly dependent, so a new pivot of zero marks
+    a dependent extension.
     """
-    prefix = np.asarray(prefix, np.int64)
-    while True:
-        counters = np.zeros(6, np.int64)
-        acc_sup = np.zeros((acc_cap, max_support), np.int64)
-        acc_u = np.zeros((acc_cap, max_support), np.int64)
-        acc_s = np.zeros(acc_cap, np.int64)
-        acc_m = np.zeros(acc_cap, np.int64)
-        def_sup = np.zeros((def_cap, max_support), np.int64)
-        def_m = np.zeros(def_cap, np.int64)
-        def_kind = np.zeros(def_cap, np.int64)
-        status = walk(
-            pmats,
-            pos,
-            agree,
-            prefix,
-            max_support,
-            node_cap,
-            counters,
-            acc_sup,
-            acc_u,
-            acc_s,
-            acc_m,
-            def_sup,
-            def_m,
-            def_kind,
-        )
-        status = int(status)
-        if status & PREFIX_ERROR:
-            raise RuntimeError("shard prefix is not linearly independent")
-        if status & ACCEPT_OVERFLOW:
-            acc_cap *= 8
-            continue
-        if status & DEFER_OVERFLOW:
-            def_cap *= 8
-            continue
-        accepted = []
-        for i in range(int(counters[C_ACC])):
-            m = int(acc_m[i])
-            accepted.append(
-                (
-                    tuple(int(v) for v in acc_sup[i, :m]),
-                    tuple(int(v) for v in acc_u[i, :m]),
-                    int(acc_s[i]),
-                )
-            )
-        deferred = []
-        for i in range(int(counters[C_DEFER])):
-            m = int(def_m[i])
-            deferred.append(
-                (tuple(int(v) for v in def_sup[i, :m]), int(def_kind[i]))
-            )
-        stats = tuple(int(counters[k]) for k in (C_VISITED, C_DEP, C_NEG, C_MAX))
-        return stats, accepted, deferred, bool(status & TRUNCATED)
+
+    def __init__(self):
+        self.piv = []  # a_kk
+        self.upper = []  # a_kj for the later columns j, then the right-hand side
+
+    def push(self, gram_row) -> bool:
+        """Append an element, given its agreements with the support and itself.
+
+        Returns False, and leaves the elimination as it was, when the
+        element is linearly dependent on the support.
+        """
+        row = list(gram_row)
+        row.append(1)
+        prev = 1
+        for k, (pk, uk) in enumerate(zip(self.piv, self.upper)):
+            c = row[k]
+            uk.insert(-1, c)
+            row[k + 1:] = _exact_div([pk * x - c * y for x, y in zip(row[k + 1:], uk)], prev)
+            prev = pk
+        m = len(self.piv)
+        if row[m] <= 0:
+            for uk in self.upper:
+                del uk[-2]
+            if row[m] < 0:
+                raise ArithmeticError("Gram matrix is not positive semidefinite")
+            return False
+        self.piv.append(row[m])
+        self.upper.append([row[m + 1]])
+        return True
+
+    def pop(self) -> None:
+        """Remove the last element pushed."""
+        self.piv.pop()
+        self.upper.pop()
+        for uk in self.upper:
+            del uk[-2]
+
+    def weights(self) -> list:
+        """The integer vector ``u = det(G) G^-1 1``, by back substitution.
+
+        Integral by Cramer's rule; each division is checked to be exact.
+        """
+        m = len(self.piv)
+        det = self.piv[-1]
+        u = [0] * m
+        for i in range(m - 1, -1, -1):
+            ui = self.upper[i]
+            acc = det * ui[-1] - sum(a * b for a, b in zip(ui, u[i + 1:]))
+            q, rem = divmod(acc, self.piv[i])
+            if rem:
+                raise ArithmeticError("non-exact division in back substitution")
+            u[i] = q
+        return u
 
 
-def warmup(pmats, pos, agree) -> None:
-    """Trigger JIT compilation with a trivial shard (no-op when not jitted)."""
-    if _walk_jit is None:
-        return
-    run_shard(
-        _walk_jit,
-        pmats,
-        pos,
-        agree,
-        [0],
-        max_support=1,
-        node_cap=4,
-        acc_cap=4,
-        def_cap=4,
-    )
+def run_shard(tables, prefix, max_support: int, deadline: float | None = None):
+    """Walk the shard rooted at ``prefix``; return (stats, accepted, truncated).
+
+    ``tables`` supplies ``pos`` (the flat positions of each permutation
+    matrix's ones) and ``agree`` (pairwise agreement counts), indexed by
+    permutation rank.  ``prefix`` holds increasing ranks of a linearly
+    independent support; ``ValueError`` is raised otherwise.  The prefix is
+    the first node, followed depth first by every independent extension
+    with larger ranks and at most ``max_support`` elements, in increasing
+    rank order.
+
+    ``stats`` is (visited, dependent, negative, maxtr): the independent
+    nodes visited, the extensions rejected as dependent, and the visited
+    nodes rejected for a negative weight or for a maximal trace above the
+    common value.  ``accepted`` lists (support, u, s), the candidate's
+    weights being u/s in lowest terms.  The clock (``time.time``) is read
+    every ``CLOCK_EVERY`` nodes, starting at the first; once ``deadline``
+    has passed the walk stops with ``truncated`` set, leaving the pending
+    node uncounted.
+    """
+    pos = tables.pos
+    agree = tables.agree
+    nperms = len(pos)
+    n = len(pos[0])
+    # the entries of A on every permutation, n consecutive values each
+    on_perms = itemgetter(*[j for p in pos for j in p])
+
+    elim = _GramElimination()
+    support = []
+    for r in prefix:
+        if not elim.push([agree[r][b] for b in support] + [n]):
+            raise ValueError(f"shard prefix {tuple(prefix)} is not linearly independent")
+        support.append(r)
+    stats = [0, 0, 0, 0]
+    accepted = []
+
+    def visit() -> None:
+        if stats[0] % CLOCK_EVERY == 0 and deadline is not None:
+            if time.time() >= deadline:
+                raise _Deadline
+        stats[0] += 1
+        u = elim.weights()
+        if min(u) < 0:
+            stats[2] += 1
+            return
+        g = gcd(*u)
+        u = [v // g for v in u]
+        s = sum(u)
+        anum = [0] * (n * n)
+        for uk, r in zip(u, support):
+            for j in pos[r]:
+                anum[j] += uk
+        frob = sum(a * a for a in anum)
+        entries = iter(on_perms(anum))
+        best = max(map(sum, zip(*[entries] * n)))
+        if frob == s * best:
+            accepted.append((tuple(support), tuple(u), s))
+        else:
+            stats[3] += 1
+
+    def descend(start: int) -> None:
+        for g in range(start, nperms):
+            row_g = agree[g]
+            if not elim.push([row_g[b] for b in support] + [n]):
+                stats[1] += 1
+                continue
+            support.append(g)
+            visit()
+            if len(support) < max_support:
+                descend(g + 1)
+            support.pop()
+            elim.pop()
+
+    try:
+        visit()
+        if len(support) < max_support:
+            descend(support[-1] + 1)
+    except _Deadline:
+        return tuple(stats), accepted, True
+    return tuple(stats), accepted, False

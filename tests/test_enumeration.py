@@ -1,16 +1,21 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from erdosmat import kernels
 from erdosmat.assignment import frobenius_sq, is_erdos
 from erdosmat.enumeration import (
+    _build_classes,
+    _Collector,
+    _pipeline_at,
     canonical_form,
     enumerate_erdos,
-    set_canonical_key,
+    get_tables,
 )
 from erdosmat.gram import count_bound
+from erdosmat.linalg import linear_independent
 from erdosmat.linalg import BistochasticMatrix
 from erdosmat.perms import Permutation, partitions
 from erdosmat.sampling import random_bistochastic, random_permutation
@@ -66,19 +71,6 @@ def test_canonical_form_validation():
         canonical_form(BistochasticMatrix.uniform(7))
 
 
-def test_set_canonical_key_examples():
-    i3 = Permutation.identity(3)
-    sig = Permutation.from_cycles(3, (1, 2))
-    gam = Permutation.from_cycles(3, (2, 3))
-    rho = Permutation.from_cycles(3, (1, 2, 3))
-    rho2 = rho * rho
-    assert set_canonical_key([i3, sig]) == set_canonical_key([i3, gam])
-    assert set_canonical_key([i3, sig]) != set_canonical_key([i3, rho])
-    assert set_canonical_key([i3, sig, gam]) != set_canonical_key([i3, rho, rho2])
-    with pytest.raises(ValueError, match="identity"):
-        set_canonical_key([sig, gam])
-
-
 def test_enumerate_n2(ref):
     report = enumerate_erdos(2)
     assert report.complete
@@ -108,30 +100,39 @@ def test_enumerate_n3_catalog(ref):
 
 
 def test_engines_agree_n3():
-    reports = [
-        enumerate_erdos(3, engine="exact"),
-        enumerate_erdos(3, engine="numpy"),
-    ]
-    if kernels.JIT_ENABLED:
-        reports.append(enumerate_erdos(3, engine="jit"))
-    keys = [_report_key(r) for r in reports]
-    assert all(k == keys[0] for k in keys)
+    # the integer walk against the rational pipeline run on every
+    # independent support containing the identity (no dependent
+    # extension exists at n = 3)
+    tables = get_tables(3)
+    collector = _Collector(3)
+    for size in range(1, 6):
+        for rest in itertools.combinations(range(1, 6), size - 1):
+            ranks = (0,) + rest
+            if linear_independent([tables.perms[r] for r in ranks]):
+                collector.visited += 1
+                collector.record_pipeline(tables, ranks, _pipeline_at(tables, ranks))
+    classes = _build_classes(tables, collector)
+    report = enumerate_erdos(3)
+    assert report.engine == "int-walk"
+    assert _report_key(report) == (
+        [c.canonical.flatten() for c in classes],
+        collector.visited,
+        collector.dep,
+        collector.neg,
+        collector.maxtr,
+        [c.sources for c in classes],
+        [[p.rank() for p in c.support] for c in classes],
+        [c.weights for c in classes],
+    )
 
 
 def test_workers_do_not_change_results():
-    a = enumerate_erdos(3, engine="numpy", workers=1)
-    b = enumerate_erdos(3, engine="numpy", workers=2)
+    a = enumerate_erdos(3, workers=1)
+    b = enumerate_erdos(3, workers=2)
     assert _report_key(a) == _report_key(b)
-
-
-def test_set_filter_is_pure_optimization():
-    plain = enumerate_erdos(3)
-    filtered = enumerate_erdos(3, use_set_filter=True)
-    assert filtered.engine == "exact"
-    assert [c.canonical.flatten() for c in plain.classes] == [
-        c.canonical.flatten() for c in filtered.classes
-    ]
-    assert filtered.sets_visited == plain.sets_visited
+    c = enumerate_erdos(4, max_support=4, workers=1)
+    d = enumerate_erdos(4, max_support=4, workers=2)
+    assert _report_key(c) == _report_key(d)
 
 
 def test_class_invariants_and_counters():
@@ -165,7 +166,9 @@ def test_max_support_restriction():
 
 
 def test_budget_truncation():
-    report = enumerate_erdos(4, engine="numpy", budget=0.05)
+    t0 = time.perf_counter()
+    report = enumerate_erdos(4, budget=0.05)
+    assert time.perf_counter() - t0 < 0.05 + 1.0
     assert not report.complete
     for c in report.classes:
         assert is_erdos(c.canonical)[0]
@@ -178,8 +181,8 @@ def test_argument_validation():
         enumerate_erdos(7)
     with pytest.raises(ValueError, match="max_support"):
         enumerate_erdos(3, max_support=6)
-    with pytest.raises(ValueError, match="engine"):
-        enumerate_erdos(3, engine="gpu")
+    with pytest.raises(TypeError, match="engine"):
+        enumerate_erdos(3, engine="numpy")
     with pytest.raises(ValueError, match="workers"):
         enumerate_erdos(3, workers=0)
 
