@@ -6,18 +6,38 @@ optimum.  For bistochastic A it dominates the squared Frobenius norm
 (Marcus-Ree); the matrices attaining equality are the Erdos matrices.
 
 Witnesses are reported as the permutations whose matrices attain the
-value, i.e. p with sum_j A[p(j), j] equal to the maximal trace.  The
-brute-force method enumerates all of S_n and collects every witness;
-the Hungarian method returns the value and a single witness.
+value, i.e. p with sum_j A[p(j), j] equal to the maximal trace.
+
+The value comes from one exact integer routine.  A is scaled by the
+least common multiple of its denominators to an integer matrix W, and
+Kuhn-Munkres runs on W over Python ints.  It returns an optimal
+assignment and dual potentials u (rows) and v (columns).  Before the
+result is used the dual certificate is checked: u_i + v_j >= W_ij for
+every i, j, and sum(u) + sum(v) equals the assignment's value.  By weak
+duality no permutation then exceeds that value, so the answer is proven
+rather than trusted; a failed check raises ``ArithmeticError``.
+
+By complementary slackness a permutation attains the maximal trace
+exactly when every one of its edges is tight (u_i + v_j = W_ij), so the
+complete witness set is the set of perfect matchings of the tight-edge
+subgraph.  They are listed by a depth-first search over columns 0..n-1,
+trying rows in ascending order, which yields the witnesses in
+lexicographic order of their one-line images, the order of the
+brute-force scan over S_n.  Full listing stops at n = ``BRUTE_CAP``
+(8), where the witness count is at most 8! = 40,320; beyond it one
+witness is returned.  The brute-force scan over Fractions is kept as
+the independent oracle the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
+from math import lcm
 
 from .linalg import BistochasticMatrix, Matrix
-from .perms import Permutation, all_permutations
+from .perms import Permutation
 
 BRUTE_CAP = 8
 
@@ -26,12 +46,16 @@ BRUTE_CAP = 8
 class MaxTraceCertificate:
     """Maximal trace value plus witnessing permutations.
 
-    ``complete`` is True when every witness is listed (brute force only).
+    ``complete`` is True when every witness is listed.  ``algorithm``
+    names what ran: ``brute`` (the scan over S_n), ``hungarian`` (the
+    certified Kuhn-Munkres optimum, one witness) or ``hungarian-tight``
+    (the same, plus every perfect matching of its tight edges).
     """
 
     value: Fraction
     witnesses: tuple
     complete: bool
+    algorithm: str
 
     @property
     def witness(self) -> Permutation:
@@ -46,26 +70,33 @@ def frobenius_sq(a: Matrix) -> Fraction:
 def max_trace(a: Matrix, method: str = "auto") -> MaxTraceCertificate:
     """Exact maximal trace of a square matrix.
 
-    method: ``brute`` (all n! permutations, every witness, n <= 8),
-    ``hungarian`` (exact Kuhn-Munkres over rationals, one witness), or
-    ``auto`` (brute up to the cap, Hungarian beyond).
+    method: ``brute`` (all n! permutations over Fractions, every witness,
+    n <= 8), ``hungarian`` (certified integer Kuhn-Munkres, one witness),
+    or ``auto`` (the same certified optimum, with every witness listed
+    from the tight edges of its dual up to n = 8 and one witness beyond).
+    Complete witness lists are in lexicographic order of their images,
+    identical for ``auto`` and ``brute``.
     """
     n = a.nrows
     if a.ncols != n:
         raise ValueError("maximal trace requires a square matrix")
-    if method == "auto":
-        method = "brute" if n <= BRUTE_CAP else "hungarian"
     if method == "brute":
         if n > BRUTE_CAP:
             raise ValueError(
                 f"brute-force maximal trace is capped at n={BRUTE_CAP}, got {n}"
             )
         value, witnesses = _brute_max(a)
-        return MaxTraceCertificate(value, witnesses, complete=True)
-    if method == "hungarian":
-        value, images = _assignment_max(a)
-        return MaxTraceCertificate(value, (Permutation(images),), complete=False)
-    raise ValueError(f"unknown method {method!r}")
+        return MaxTraceCertificate(value, witnesses, True, "brute")
+    if method not in ("auto", "hungarian"):
+        raise ValueError(f"unknown method {method!r}")
+    scale = lcm(*(e.denominator for row in a for e in row))
+    w = [[e.numerator * (scale // e.denominator) for e in row] for row in a]
+    images, u, v = _kuhn_munkres(w)
+    value = Fraction(_certify(w, images, u, v), scale)
+    if method == "auto" and n <= BRUTE_CAP:
+        witnesses = tuple(Permutation(p) for p in _tight_matchings(w, u, v))
+        return MaxTraceCertificate(value, witnesses, True, "hungarian-tight")
+    return MaxTraceCertificate(value, (Permutation(images),), False, "hungarian")
 
 
 def delta(a: Matrix, method: str = "auto") -> Fraction:
@@ -97,29 +128,32 @@ def max_delta_matrix(n: int) -> BistochasticMatrix:
 
 
 def _brute_max(a: Matrix):
+    """(value, witnesses) by scanning S_n in lexicographic order, over Fractions."""
     n = a.nrows
+    cols = [tuple(a[i][j] for i in range(n)) for j in range(n)]
     best = None
-    witnesses = []
-    for p in all_permutations(n):
-        v = sum((a[p.images[j]][j] for j in range(n)), Fraction(0))
+    found = []
+    for images in permutations(range(n)):
+        v = sum(map(tuple.__getitem__, cols, images), Fraction(0))
         if best is None or v > best:
             best = v
-            witnesses = [p]
+            found = [images]
         elif v == best:
-            witnesses.append(p)
-    return best, tuple(witnesses)
+            found.append(images)
+    return best, tuple(Permutation(p) for p in found)
 
 
-def _assignment_max(a: Matrix):
-    """Exact max assignment; returns (value, images) with images[j] the row of column j.
+def _kuhn_munkres(w):
+    """Max-weight assignment of the integer matrix ``w`` with its dual.
 
-    Kuhn-Munkres shortest-augmenting-path formulation with rational
-    potentials; None plays the role of infinity.
+    Returns (images, u, v): images[j] is the row assigned to column j, and
+    the potentials satisfy u[i] + v[j] >= w[i][j] with equality on the
+    assignment.  Shortest-augmenting-path formulation on the costs -w,
+    over Python ints; None plays the role of infinity.
     """
-    n = a.nrows
-    cost = [[-a[i][j] for j in range(n)] for i in range(n)]
-    u = [Fraction(0)] * (n + 1)
-    v = [Fraction(0)] * (n + 1)
+    n = len(w)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
     p = [0] * (n + 1)
     way = [0] * (n + 1)
     for i in range(1, n + 1):
@@ -130,12 +164,13 @@ def _assignment_max(a: Matrix):
         while True:
             used[j0] = True
             i0 = p[j0]
+            row = w[i0 - 1]
             best = None
             j1 = -1
             for j in range(1, n + 1):
                 if used[j]:
                     continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                cur = -row[j - 1] - u[i0] - v[j]
                 if minv[j] is None or cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
@@ -155,8 +190,56 @@ def _assignment_max(a: Matrix):
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
+    images = [p[j] - 1 for j in range(1, n + 1)]
+    return images, [-x for x in u[1:]], [-x for x in v[1:]]
+
+
+def _certify(w, images, u, v) -> int:
+    """The assignment's value, once the dual certificate proves it maximal.
+
+    Raises ArithmeticError unless ``images`` is a permutation, every
+    u[i] + v[j] >= w[i][j], and sum(u) + sum(v) equals the value of
+    ``images``; together these exclude any permutation of larger value.
+    """
+    n = len(w)
+    if sorted(images) != list(range(n)):
+        raise ArithmeticError(f"Kuhn-Munkres returned a non-permutation {images}")
+    for i in range(n):
+        ui = u[i]
+        row = w[i]
+        for j in range(n):
+            if ui + v[j] < row[j]:
+                raise ArithmeticError(f"dual potentials infeasible at ({i}, {j})")
+    total = sum(w[images[j]][j] for j in range(n))
+    if sum(u) + sum(v) != total:
+        raise ArithmeticError(
+            f"dual objective {sum(u) + sum(v)} differs from assignment value {total}"
+        )
+    return total
+
+
+def _tight_matchings(w, u, v) -> list:
+    """Every perfect matching of the tight edges u[i] + v[j] == w[i][j].
+
+    Depth-first over columns 0..n-1 with rows tried in ascending order, so
+    the image tuples come out in lexicographic order.
+    """
+    n = len(w)
+    tight = [[i for i in range(n) if u[i] + v[j] == w[i][j]] for j in range(n)]
     images = [0] * n
-    for j in range(1, n + 1):
-        images[j - 1] = p[j] - 1
-    value = sum((a[images[j]][j] for j in range(n)), Fraction(0))
-    return value, images
+    used = [False] * n
+    out = []
+
+    def extend(j):
+        if j == n:
+            out.append(tuple(images))
+            return
+        for i in tight[j]:
+            if not used[i]:
+                used[i] = True
+                images[j] = i
+                extend(j + 1)
+                used[i] = False
+
+    extend(0)
+    return out

@@ -176,6 +176,7 @@ def cmd_verify(args) -> int:
             "witnesses": [list(w.one_indexed()) for w in witnesses],
             "witness_count": len(cert.witnesses),
             "witnesses_complete": cert.complete,
+            "algorithm": cert.algorithm,
         }
         if args.approx:
             payload["frob_sq_approx"] = float(frob)
@@ -189,6 +190,7 @@ def cmd_verify(args) -> int:
         shown = " ".join(str(w) for w in witnesses)
         suffix = "" if cert.complete else " (not exhaustive)"
         print(f"witnesses ({len(witnesses)} of {len(cert.witnesses)}{suffix}): {shown}")
+        print(f"algorithm: {cert.algorithm}")
         print(f"verdict: {'Erdos' if verdict else 'not Erdos'}")
     return EXIT_OK if verdict else EXIT_FALSE
 

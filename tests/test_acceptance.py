@@ -194,13 +194,15 @@ def test_criterion_07_oracle_equivalence():
     for n in (3, 4, 5, 6):
         for _ in range(500):
             a = random_bistochastic(n, rng)
-            assert (
-                max_trace(a, method="hungarian").value
-                == max_trace(a, method="brute").value
-            )
+            brute = max_trace(a, method="brute")
+            auto = max_trace(a)
+            assert max_trace(a, method="hungarian").value == brute.value
+            assert auto.value == brute.value
+            assert auto.witnesses == brute.witnesses
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
-    _ok(7, f"Hungarian equals brute force on 2000 random matrices in {elapsed:.1f}s")
+    _ok(7, f"Hungarian value and tight-edge witnesses equal brute force"
+           f" on 2000 random matrices in {elapsed:.1f}s")
 
 
 def test_criterion_08_decomposition_round_trips(ref):

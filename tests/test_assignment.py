@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from erdosmat import assignment
 from erdosmat.assignment import (
     delta,
     frobenius_sq,
@@ -12,7 +13,7 @@ from erdosmat.assignment import (
     max_trace,
 )
 from erdosmat.birkhoff import decompose
-from erdosmat.linalg import BistochasticMatrix
+from erdosmat.linalg import BistochasticMatrix, Matrix
 from erdosmat.sampling import random_bistochastic, random_permutation
 
 F = Fraction
@@ -57,7 +58,77 @@ def test_hungarian_matches_brute():
             hung = max_trace(a, method="hungarian")
             assert hung.value == brute.value
             assert not hung.complete
+            assert len(hung.witnesses) == 1
             assert hung.witnesses[0] in brute.witnesses
+            assert (hung.algorithm, brute.algorithm) == ("hungarian", "brute")
+
+
+def _direct_sum(*blocks):
+    n = sum(b.n for b in blocks)
+    rows = [[F(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i in range(b.n):
+            rows[at + i][at:at + b.n] = b[i]
+        at += b.n
+    return BistochasticMatrix(rows)
+
+
+def _auto_matches_brute(a):
+    auto = max_trace(a)
+    brute = max_trace(a, method="brute")
+    assert auto.value == brute.value
+    assert auto.witnesses == brute.witnesses  # same permutations, same order
+    assert auto.complete and auto.algorithm == "hungarian-tight"
+    return auto
+
+
+def test_auto_witnesses_equal_brute(ref):
+    rng = random.Random(61)
+    for n in range(2, 8):
+        for _ in range(30 if n < 7 else 5):
+            _auto_matches_brute(random_bistochastic(n, rng))
+    for a in ref.values():
+        _auto_matches_brute(a)
+    for n in range(1, 7):
+        assert len(_auto_matches_brute(BistochasticMatrix.uniform(n)).witnesses) == factorial(n)
+    for n in (2, 5, 7):
+        assert len(_auto_matches_brute(max_delta_matrix(n)).witnesses) == 1
+    blocks = _direct_sum(ref["R"], BistochasticMatrix.uniform(2), ref["T"])
+    p = random_permutation(8, rng).matrix()
+    q = random_permutation(8, rng).matrix()
+    a = BistochasticMatrix((p * blocks * q).rows)
+    assert is_erdos(a)[0]
+    assert len(_auto_matches_brute(a).witnesses) == 3 * 2 * 2
+    signed = Matrix(
+        [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(6)] for _ in range(6)]
+    )
+    _auto_matches_brute(signed)
+    assert not max_trace(signed, method="hungarian").complete
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [("infeasible", "infeasible"), ("loose", "differs"), ("repeat_row", "non-permutation")],
+)
+def test_dual_certificate_checked(monkeypatch, corrupt, message):
+    kuhn_munkres = assignment._kuhn_munkres
+
+    def broken(w):
+        images, u, v = kuhn_munkres(w)
+        if corrupt == "infeasible":  # the assigned edge of column 0 goes below its weight
+            v[0] -= 1
+        elif corrupt == "loose":  # still feasible, but the bound exceeds the assignment
+            u[0] += 1
+        else:
+            images = [images[0]] * len(images)
+        return images, u, v
+
+    monkeypatch.setattr(assignment, "_kuhn_munkres", broken)
+    a = max_delta_matrix(4)
+    for method in ("auto", "hungarian"):
+        with pytest.raises(ArithmeticError, match=message):
+            max_trace(a, method=method)
 
 
 def test_method_validation():

@@ -30,6 +30,7 @@ def test_verify_erdos(r_file, capsys):
     out = capsys.readouterr().out
     assert "frob_sq: 7/5" in out
     assert "maxtr:   7/5" in out
+    assert "algorithm: hungarian-tight" in out
     assert "verdict: Erdos" in out
 
 
@@ -46,6 +47,8 @@ def test_verify_json_envelope(r_file, capsys):
     assert payload["erdos"] is True
     assert payload["witness_count"] == 3
     assert [1, 2, 3] in payload["witnesses"]
+    assert payload["witnesses_complete"] is True
+    assert payload["algorithm"] == "hungarian-tight"
 
 
 def test_verify_not_erdos(tmp_path, capsys):
