@@ -44,7 +44,6 @@ from .assignment import (
 )
 from .birkhoff import (
     ConvexDecomposition,
-    LinearReductionError,
     decompose,
     reduce_affine,
     reduce_linear,
@@ -102,7 +101,6 @@ __all__ = [
     "max_delta_matrix",
     "max_trace",
     "ConvexDecomposition",
-    "LinearReductionError",
     "decompose",
     "reduce_affine",
     "reduce_linear",

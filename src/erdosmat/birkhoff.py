@@ -14,20 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import (
-    BistochasticMatrix,
-    Matrix,
-    affine_independent,
-    kernel_vector,
-    linear_independent,
-    solve_tall,
-)
+from .linalg import BistochasticMatrix, Matrix, affine_independent, kernel_vector
 from .perms import Permutation
 from .rational import as_rational, format_rational
-
-
-class LinearReductionError(ValueError):
-    """No linearly independent sub-support reconstructs the matrix."""
 
 
 class ConvexDecomposition:
@@ -159,36 +148,13 @@ def reduce_affine(d: ConvexDecomposition) -> ConvexDecomposition:
 def reduce_linear(d: ConvexDecomposition) -> ConvexDecomposition:
     """Shrink to a linearly independent support, reconstructing the same matrix.
 
-    Runs the affine reduction first; for permutation supports that is
-    already linearly independent.  The sub-support re-solve below is kept
-    for contract fidelity on degenerate inputs and raises
-    LinearReductionError when no nonnegative re-weighting exists.
+    This is ``reduce_affine``: an affinely independent set of permutation
+    matrices is linearly independent.  If sum b_i P_i = 0, summing all
+    entries gives n * sum b_i = 0, because every permutation matrix has
+    entry sum n; so b is a zero-sum dependency, and affine independence
+    forces b = 0.
     """
-    d2 = reduce_affine(d)
-    support = list(d2.support)
-    if linear_independent(support):
-        return d2
-    target = d2.matrix()
-    chosen = []
-    for p in support:
-        if linear_independent(chosen + [p]):
-            chosen.append(p)
-    cols = Matrix(list(zip(*(p.matrix().flatten() for p in chosen))))
-    try:
-        weights = solve_tall(cols, target.flatten())
-    except ValueError as exc:
-        raise LinearReductionError(str(exc)) from exc
-    if any(w < 0 for w in weights):
-        raise LinearReductionError(
-            "no linearly independent sub-support reconstructs the matrix "
-            "with nonnegative weights"
-        )
-    out = ConvexDecomposition(
-        [(w, p) for w, p in zip(weights, chosen) if w > 0]
-    )
-    if out.matrix() != target:
-        raise RuntimeError("linear reduction failed to reconstruct the matrix")
-    return out
+    return reduce_affine(d)
 
 
 def _affine_dependency(support):

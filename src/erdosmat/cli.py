@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .assignment import delta, frobenius_sq, max_delta_matrix, max_trace
-from .birkhoff import LinearReductionError, decompose, reduce_affine, reduce_linear
+from .birkhoff import decompose, reduce_affine, reduce_linear
 from .enumeration import canonical_form, enumerate_erdos
 from .gram import count_bound, half_identity_family
 from .linalg import (
@@ -247,11 +247,7 @@ def cmd_decompose(args) -> int:
     if args.reduce == "affine":
         d = reduce_affine(d)
     elif args.reduce == "linear":
-        try:
-            d = reduce_linear(d)
-        except LinearReductionError as exc:
-            print(f"linear reduction failed: {exc}", file=sys.stderr)
-            return EXIT_FALSE
+        d = reduce_linear(d)
     if d.matrix() != a:
         raise RuntimeError("decomposition failed to reconstruct the input")
     if args.format == "json":

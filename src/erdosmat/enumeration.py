@@ -126,9 +126,15 @@ def canonical_form(a: BistochasticMatrix) -> BistochasticMatrix:
     """The lexicographically least row-major flattening of PAQ over all P, Q.
 
     Two matrices are equivalent exactly when their canonical forms are
-    equal.  Computed as a minimum over row orders with columns sorted as
-    vectors, which realizes the full PAQ minimum without scanning all
-    (n!)^2 pairs; entries are compared by exact value via order codes.
+    equal.  Entries are coded by the rank of their exact value and the
+    least order is found by ``_canonical_order``.
+
+    Why a row-by-row search is exact: for a fixed row order the least
+    column order sorts the columns as vectors, and sorting columns by
+    their full tuples also sorts their first-d-row prefixes.  So the first
+    d rows of the result depend only on the first d rows chosen, a global
+    minimizer is least at every depth and is never pruned, and every order
+    that survives to the end gives the same flattening.
     """
     n = a.nrows
     if a.ncols != n:
@@ -137,18 +143,49 @@ def canonical_form(a: BistochasticMatrix) -> BistochasticMatrix:
         raise ValueError(f"canonical form is capped at n={CANON_CAP}, got {n}")
     values = sorted(set(a.flatten()))
     code = {v: k for k, v in enumerate(values)}
-    coded = [[code[e] for e in row] for row in a]
-    best_key = None
-    best = None
-    for rp in itertools.permutations(range(n)):
-        colkeys = [tuple(coded[r][c] for r in rp) for c in range(n)]
-        cols = sorted(range(n), key=colkeys.__getitem__)
-        key = tuple(coded[r][c] for r in rp for c in cols)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (rp, cols)
-    rp, cols = best
+    rp, cols = _canonical_order([[code[e] for e in row] for row in a])
     return BistochasticMatrix([[a[r][c] for c in cols] for r in rp])
+
+
+def _canonical_order(rows) -> tuple:
+    """(row order, column order) of the least row-major flattening of PAQ.
+
+    ``rows`` is a square grid of nonnegative ints.  The row order grows
+    one row at a time, keeping only the partial orders whose next row of
+    the column-sorted matrix is least (the refinement step of canonical
+    labelling, McKay 1981).  Each column's prefix is carried as a base-b
+    integer, b = 1 + the largest entry, so integer order is prefix order;
+    among survivors, which share all earlier rows, the sorted prefixes
+    compare exactly as the new row does.  Identical unused rows are tried
+    once per node, since either choice leads to the same matrices.
+    """
+    n = len(rows)
+    rows = [tuple(r) for r in rows]
+    b = 1 + max(max(r) for r in rows)
+    level = [((), tuple(range(n)), (0,) * n)]
+    for _ in range(n):
+        best = None
+        survivors = []
+        for order, unused, prefix in level:
+            tried = set()
+            for r in unused:
+                row = rows[r]
+                if row in tried:
+                    continue
+                tried.add(row)
+                grown = [p * b + e for p, e in zip(prefix, row)]
+                key = sorted(grown)
+                if best is None or key < best:
+                    best = key
+                    survivors = []
+                elif key != best:
+                    continue
+                survivors.append(
+                    (order + (r,), tuple(u for u in unused if u != r), grown)
+                )
+        level = survivors
+    order, _, prefix = level[0]
+    return order, tuple(sorted(range(n), key=prefix.__getitem__))
 
 
 class _Collector:
@@ -264,11 +301,11 @@ def enumerate_erdos(
     Budget slack: the clock is read before every support of size two, at
     the start of every shard and every ``kernels.CLOCK_EVERY``
     (1,024) nodes inside one, so the search stops at most that many nodes
-    past the deadline, about 0.05 s at n = 4.  Building the lookup tables
-    before the search and the classes after it (one canonical form per
-    distinct matrix found, about 1.5 ms each at n = 5 and 11 ms at n = 6)
-    are not cut short and come on top.  At n = 6 a 2 s budget finds about
-    700 distinct matrices, so the classes add about 8 s.
+    past the deadline, about 0.05 s at n = 4.  Building the classes after
+    the search (one canonical order per distinct matrix found, about
+    0.08 ms each at n = 5 and 0.35 ms at n = 6) is not cut short and comes
+    on top.  At n = 6 a 2 s budget finds about 720 distinct matrices, so
+    the classes add about 0.25 s and the run returns after about 2.3 s.
     """
     if not 2 <= n <= CANON_CAP:
         raise ValueError(f"enumeration supports 2 <= n <= {CANON_CAP}, got {n}")
@@ -361,25 +398,31 @@ def enumerate_erdos(
 
 
 def _build_classes(tables: _Tables, collector: _Collector) -> list:
-    """Canonicalize raw accepted matrices, deduplicate, and re-verify."""
+    """Canonicalize raw accepted matrices, deduplicate, and re-verify.
+
+    A raw key (s, anum) is the matrix anum / s reduced by the gcd of s and
+    every numerator, so s is the LCM of its denominators and equivalent
+    matrices share it; the canonical order of the integer rows of anum
+    then identifies the class without building any ``Fraction``.
+    """
     n = tables.n
     grouped: dict = {}
     for (s, anum), (count, rep) in collector.raws.items():
-        entries = [
-            [Fraction(anum[i * n + j], s) for j in range(n)] for i in range(n)
-        ]
-        canon = canonical_form(BistochasticMatrix(entries))
-        key = canon.flatten()
+        rp, cols = _canonical_order([anum[i * n:(i + 1) * n] for i in range(n)])
+        key = (s, tuple(anum[r * n + c] for r in rp for c in cols))
         entry = grouped.get(key)
         if entry is None:
-            grouped[key] = [canon, count, rep]
+            grouped[key] = [count, rep]
         else:
-            entry[1] += count
-            if rep < entry[2]:
-                entry[2] = rep
+            entry[0] += count
+            if rep < entry[1]:
+                entry[1] = rep
 
     classes = []
-    for canon, sources, rep in grouped.values():
+    for (s, flat), (sources, rep) in grouped.items():
+        canon = BistochasticMatrix(
+            [[Fraction(v, s) for v in flat[i * n:(i + 1) * n]] for i in range(n)]
+        )
         _, support_ranks, _, _ = rep
         support = tuple(tables.perms[r] for r in support_ranks)
         res = gram_mod.pipeline(list(support))

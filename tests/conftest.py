@@ -1,8 +1,8 @@
 """Shared fixtures: reference matrices and independent oracle helpers.
 
-The oracles here (plain Gaussian elimination, brute-force canonical
-minimization) are deliberately separate implementations from the library
-paths they check.
+The oracles here (plain Gaussian elimination, brute-force and row-scan
+canonical minimization) are deliberately separate implementations from
+the library paths they check.
 """
 
 from fractions import Fraction
@@ -75,3 +75,37 @@ def brute_canonical_flatten(a):
             if best is None or flat < best:
                 best = flat
     return best
+
+
+def rowscan_canonical_flatten(a):
+    """Minimum flattening of PAQ over all n! row orders, columns sorted (oracle).
+
+    For a fixed row order the least column order sorts the columns as
+    vectors, so n! sorts replace the (n!)^2 scan.
+    """
+    n = a.nrows
+    values = sorted(set(a.flatten()))
+    code = {v: k for k, v in enumerate(values)}
+    coded = [[code[e] for e in row] for row in a]
+    best_key = None
+    best = None
+    for rp in permutations(range(n)):
+        colkeys = [tuple(coded[r][c] for r in rp) for c in range(n)]
+        cols = sorted(range(n), key=colkeys.__getitem__)
+        key = tuple(coded[r][c] for r in rp for c in cols)
+        if best_key is None or key < best_key:
+            best_key = key
+            best = tuple(a[r][c] for r in rp for c in cols)
+    return best
+
+
+def direct_sum(*blocks):
+    """The block-diagonal matrix with the given bistochastic blocks."""
+    n = sum(b.n for b in blocks)
+    rows = [[F(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i in range(b.n):
+            rows[at + i][at:at + b.n] = b[i]
+        at += b.n
+    return BistochasticMatrix(rows)

@@ -16,6 +16,8 @@ from erdosmat.birkhoff import decompose
 from erdosmat.linalg import BistochasticMatrix, Matrix
 from erdosmat.sampling import random_bistochastic, random_permutation
 
+from conftest import direct_sum
+
 F = Fraction
 
 
@@ -63,17 +65,6 @@ def test_hungarian_matches_brute():
             assert (hung.algorithm, brute.algorithm) == ("hungarian", "brute")
 
 
-def _direct_sum(*blocks):
-    n = sum(b.n for b in blocks)
-    rows = [[F(0)] * n for _ in range(n)]
-    at = 0
-    for b in blocks:
-        for i in range(b.n):
-            rows[at + i][at:at + b.n] = b[i]
-        at += b.n
-    return BistochasticMatrix(rows)
-
-
 def _auto_matches_brute(a):
     auto = max_trace(a)
     brute = max_trace(a, method="brute")
@@ -94,7 +85,7 @@ def test_auto_witnesses_equal_brute(ref):
         assert len(_auto_matches_brute(BistochasticMatrix.uniform(n)).witnesses) == factorial(n)
     for n in (2, 5, 7):
         assert len(_auto_matches_brute(max_delta_matrix(n)).witnesses) == 1
-    blocks = _direct_sum(ref["R"], BistochasticMatrix.uniform(2), ref["T"])
+    blocks = direct_sum(ref["R"], BistochasticMatrix.uniform(2), ref["T"])
     p = random_permutation(8, rng).matrix()
     q = random_permutation(8, rng).matrix()
     a = BistochasticMatrix((p * blocks * q).rows)

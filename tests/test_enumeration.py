@@ -10,17 +10,18 @@ from erdosmat.enumeration import (
     _build_classes,
     _Collector,
     _pipeline_at,
+    _shard_batch,
     canonical_form,
     enumerate_erdos,
     get_tables,
 )
-from erdosmat.gram import count_bound
+from erdosmat.gram import count_bound, half_identity_family
 from erdosmat.linalg import linear_independent
 from erdosmat.linalg import BistochasticMatrix
 from erdosmat.perms import Permutation, partitions
 from erdosmat.sampling import random_bistochastic, random_permutation
 
-from conftest import brute_canonical_flatten
+from conftest import brute_canonical_flatten, direct_sum, rowscan_canonical_flatten
 
 F = Fraction
 
@@ -38,12 +39,60 @@ def _report_key(report):
     )
 
 
+def _scrambled(a, rng):
+    """PAQ for random permutation matrices P and Q."""
+    p = random_permutation(a.n, rng).matrix()
+    q = random_permutation(a.n, rng).matrix()
+    return BistochasticMatrix((p * a * q).rows)
+
+
+def _kron_uniform(b, k):
+    """B tensor J_k: every row and column of B repeated k times."""
+    return BistochasticMatrix(
+        [[b[i // k][j // k] / k for j in range(b.n * k)] for i in range(b.n * k)]
+    )
+
+
 def test_canonical_form_matches_brute_oracle(ref):
     rng = random.Random(107)
     mats = [ref["R"], ref["S"], ref["IJ2"], ref["J3"]]
     mats += [random_bistochastic(3, rng) for _ in range(10)]
+    four = [BistochasticMatrix.identity(4), BistochasticMatrix.uniform(4), ref["NS4"]]
+    four += half_identity_family(4)
+    four += [
+        direct_sum(ref[name], BistochasticMatrix.identity(1))
+        for name in ("R", "S", "T", "J3")
+    ]
+    four += [
+        direct_sum(BistochasticMatrix.uniform(2), BistochasticMatrix.identity(2)),
+        direct_sum(BistochasticMatrix.uniform(2), BistochasticMatrix.uniform(2)),
+    ]
+    four += [random_bistochastic(4, rng) for _ in range(6)]
+    mats += [_scrambled(a, rng) for a in four]
     for a in mats:
         assert canonical_form(a).flatten() == brute_canonical_flatten(a)
+
+
+def test_canonical_form_matches_rowscan_oracle(ref):
+    rng = random.Random(113)
+    mats = []
+    for n in (5, 6):
+        mats += [BistochasticMatrix.identity(n), BistochasticMatrix.uniform(n)]
+        mats += half_identity_family(n)
+        mats += [random_bistochastic(n, rng) for _ in range(4)]
+    # repeated rows and columns
+    mats += [
+        direct_sum(ref["NS4"], BistochasticMatrix.identity(1)),
+        direct_sum(ref["NS4"], BistochasticMatrix.uniform(2)),
+        direct_sum(ref["J3"], ref["IJ2"]),
+        direct_sum(BistochasticMatrix.uniform(2), ref["S"]),
+        _kron_uniform(ref["R"], 2),
+        _kron_uniform(random_bistochastic(3, rng), 2),
+        _kron_uniform(random_bistochastic(2, rng), 3),
+    ]
+    for a in mats:
+        for b in (a, _scrambled(a, rng)):
+            assert canonical_form(b).flatten() == rowscan_canonical_flatten(a)
 
 
 def test_canonical_form_orbit_invariance():
@@ -124,6 +173,36 @@ def test_engines_agree_n3():
         [[p.rank() for p in c.support] for c in classes],
         [c.weights for c in classes],
     )
+
+
+def test_build_classes_matches_rowscan_grouping():
+    # an n = 4, max_support = 5 collector, grouped once by _build_classes
+    # and once by the row-scan oracle on each raw matrix
+    n = 4
+    tables = get_tables(n)
+    collector = _Collector(n)
+    for ranks in [(0,)] + [(0, a) for a in range(1, 24)]:
+        collector.visited += 1
+        collector.record_pipeline(tables, ranks, _pipeline_at(tables, ranks))
+    shards = [(0, a, b) for a in range(1, 24) for b in range(a + 1, 24)]
+    counters, raws, truncated = _shard_batch((n, 5, None, shards))
+    assert not truncated
+    collector.merge_counters(*counters)
+    collector.merge_raws(raws)
+    expected: dict = {}
+    for (s, anum), (count, rep) in collector.raws.items():
+        a = BistochasticMatrix(
+            [[F(anum[i * n + j], s) for j in range(n)] for i in range(n)]
+        )
+        key = rowscan_canonical_flatten(a)
+        sources, best = expected.get(key, (0, rep))
+        expected[key] = (sources + count, min(best, rep))
+    classes = _build_classes(tables, collector)
+    assert len(classes) == len(expected) == 33
+    assert {
+        c.canonical.flatten(): (c.sources, tuple(p.rank() for p in c.support))
+        for c in classes
+    } == {key: (sources, rep[1]) for key, (sources, rep) in expected.items()}
 
 
 def test_workers_do_not_change_results():
