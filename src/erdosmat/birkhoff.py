@@ -80,12 +80,7 @@ class ConvexDecomposition:
 
     def matrix(self) -> BistochasticMatrix:
         """Exact reconstruction of the combined matrix."""
-        n = self.n
-        entries = [[Fraction(0)] * n for _ in range(n)]
-        for c, p in self.terms:
-            for j, i in enumerate(p.images):
-                entries[i][j] += c
-        return BistochasticMatrix(entries)
+        return BistochasticMatrix.combination(self.terms)
 
     def to_json(self) -> list:
         return [

@@ -69,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-support", type=int, default=None, metavar="M")
     p.add_argument("--budget", default=None, metavar="DURATION",
                    help="wall-clock limit, e.g. 30s, 10m, 1h")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: $ERDOSMAT_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes (default: 1)")
     p.add_argument("--quiet", action="store_true", help="suppress progress on stderr")
     _common_flags(p)
     p.set_defaults(func=cmd_enumerate)
@@ -152,12 +152,9 @@ def _parse_duration(text: str) -> float:
         factor = {"s": 1.0, "m": 60.0, "h": 3600.0}[text[-1]]
         text = text[:-1]
     try:
-        seconds = float(text) * factor
+        return float(text) * factor
     except ValueError:
         raise ValueError(f"malformed duration {text!r}; use e.g. 30s, 10m, 1h")
-    if seconds <= 0:
-        raise ValueError("budget must be positive")
-    return seconds
 
 
 def cmd_verify(args) -> int:

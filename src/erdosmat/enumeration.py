@@ -2,30 +2,29 @@
 
 The search walks subsets of permutation matrices that contain the
 identity (fixing it costs no generality up to equivalence), extends only
-while the set stays linearly independent, runs the candidate pipeline at
-every node, and deduplicates accepted matrices by their canonical form
-under row/column permutation equivalence.  Supports of one and two
-elements go through the rational pipeline of ``gram``; larger ones
-through the integer walk of ``kernels``, which carries one fraction-free
-elimination of the Gram system down the tree.
+while the set stays linearly independent, tests the candidate at every
+node, and deduplicates accepted matrices by their canonical form under
+row/column permutation equivalence.  Every node is visited by the
+integer walk of ``kernels``, which carries one fraction-free elimination
+of the Gram system down the tree.
 
-Work is sharded at the top two tree levels: each shard is an independent
-prefix {I, a, b} whose subtree one worker owns.  Shard results merge by
-summing counters and unioning accepted candidates, which is associative
-and commutative, so complete runs are deterministic for any worker
-count.  Every emitted class is re-verified through the exact rational
-pipeline after canonicalization.
+Work is split into shards, each a prefix that one worker walks: {I} and
+every {I, a} are one-node shards, and every {I, a, b} roots the subtree
+of its supersets.  Shard results merge by summing counters and unioning
+accepted candidates, which is associative and commutative, so complete
+runs are deterministic for any worker count.  Every emitted class is
+re-verified through the exact rational pipeline of ``gram`` after
+canonicalization.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from multiprocessing import get_context
 
 from . import gram as gram_mod
@@ -188,11 +187,21 @@ def _canonical_order(rows) -> tuple:
     return order, tuple(sorted(range(n), key=prefix.__getitem__))
 
 
+def _add_sources(groups: dict, key, count: int, rep) -> None:
+    """Add ``count`` sources under ``key``, keeping the least representative."""
+    entry = groups.get(key)
+    if entry is None:
+        groups[key] = [count, rep]
+    else:
+        entry[0] += count
+        if rep < entry[1]:
+            entry[1] = rep
+
+
 class _Collector:
     """Accumulates counters and accepted candidates during the search."""
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self):
         self.visited = 0
         self.dep = 0
         self.neg = 0
@@ -207,76 +216,35 @@ class _Collector:
 
     def merge_raws(self, raws: dict):
         for key, (count, rep) in raws.items():
-            mine = self.raws.get(key)
-            if mine is None:
-                self.raws[key] = [count, rep]
-            else:
-                mine[0] += count
-                if rep < mine[1]:
-                    mine[1] = rep
+            _add_sources(self.raws, key, count, rep)
 
-    def record_candidate(self, tables: _Tables, support_ranks, u, s):
-        """File one accepted (support, u, s) candidate under its raw matrix."""
-        n = self.n
-        anum = [0] * (n * n)
-        for k, r in enumerate(support_ranks):
-            uk = u[k]
-            if uk:
-                for j in tables.pos[r]:
-                    anum[j] += uk
-        g = s
-        for v in anum:
-            g = gcd(g, v)
+    def record_candidate(self, support_ranks, u, s, anum):
+        """File one accepted candidate of ``kernels.run_shard`` under its raw matrix."""
+        g = gcd(s, *anum)
         key = (s // g, tuple(v // g for v in anum))
         rep = (len(support_ranks), tuple(support_ranks), tuple(u), s)
-        entry = self.raws.get(key)
-        if entry is None:
-            self.raws[key] = [1, rep]
-        else:
-            entry[0] += 1
-            if rep < entry[1]:
-                entry[1] = rep
-
-    def record_pipeline(self, tables: _Tables, support_ranks, result):
-        """File a PipelineResult produced on an independent support."""
-        if result.status == gram_mod.REJECT_NEGATIVE:
-            self.neg += 1
-        elif result.status == gram_mod.REJECT_MAXTR:
-            self.maxtr += 1
-        elif result.status == gram_mod.STATUS_OK:
-            x = result.solution.x
-            s = lcm(*(v.denominator for v in x))
-            u = tuple(int(v * s) for v in x)
-            self.record_candidate(tables, support_ranks, u, s)
-        else:
-            raise RuntimeError(f"unexpected pipeline status {result.status!r}")
-
-
-def _pipeline_at(tables: _Tables, support_ranks, method: str = "auto"):
-    """Exact pipeline on a support known to be linearly independent."""
-    perms = [tables.perms[r] for r in support_ranks]
-    rows = [[tables.agree[a][b] for b in support_ranks] for a in support_ranks]
-    return gram_mod._pipeline_known_independent(perms, rows, method)
+        _add_sources(self.raws, key, 1, rep)
 
 
 def _shard_batch(args):
     """Worker entry: run a batch of shard prefixes, return mergeable results.
 
+    {I} and {I, a} are one-node shards, capped at their own size; an
+    {I, a, b} shard walks its supersets up to ``max_support`` elements.
     ``deadline`` is wall-clock (time.time) so it stays meaningful across
     worker processes; the walk reads it at the start of every shard and
     every ``kernels.CLOCK_EVERY`` nodes within one.
     """
     n, max_support, deadline, prefixes = args
     tables = get_tables(n)
-    collector = _Collector(n)
+    collector = _Collector()
     truncated = False
     for prefix in prefixes:
-        stats, accepted, truncated = kernels.run_shard(
-            tables, prefix, max_support, deadline
-        )
+        cap = max_support if len(prefix) == 3 else len(prefix)
+        stats, accepted, truncated = kernels.run_shard(tables, prefix, cap, deadline)
         collector.merge_counters(*stats)
-        for support_ranks, u, s in accepted:
-            collector.record_candidate(tables, support_ranks, u, s)
+        for candidate in accepted:
+            collector.record_candidate(*candidate)
         if truncated:
             break
     counters = (collector.visited, collector.dep, collector.neg, collector.maxtr)
@@ -287,7 +255,7 @@ def enumerate_erdos(
     n: int,
     max_support: int | None = None,
     budget: float | None = None,
-    workers: int | None = None,
+    workers: int = 1,
     progress=None,
 ) -> EnumerationReport:
     """Enumerate all Erdos classes in dimension n, up to equivalence.
@@ -295,17 +263,18 @@ def enumerate_erdos(
     A complete run (``complete=True``) certifies that every class whose
     minimal linearly independent support has at most ``max_support``
     elements appears; with the default cap (n-1)^2 + 1 that is every
-    class.  ``budget`` is a wall-clock limit in seconds; truncated runs
-    report ``complete=False`` with the partial classes still verified.
+    class.  ``budget`` is a positive wall-clock limit in seconds (``inf``
+    sets none); truncated runs report ``complete=False`` with the partial
+    classes still verified.  ``workers`` processes walk the shards.
 
-    Budget slack: the clock is read before every support of size two, at
-    the start of every shard and every ``kernels.CLOCK_EVERY``
-    (1,024) nodes inside one, so the search stops at most that many nodes
-    past the deadline, about 0.05 s at n = 4.  Building the classes after
-    the search (one canonical order per distinct matrix found, about
-    0.08 ms each at n = 5 and 0.35 ms at n = 6) is not cut short and comes
-    on top.  At n = 6 a 2 s budget finds about 720 distinct matrices, so
-    the classes add about 0.25 s and the run returns after about 2.3 s.
+    Budget slack: the clock is read at the start of every shard and every
+    ``kernels.CLOCK_EVERY`` (1,024) nodes inside one, so the search stops
+    at most that many nodes past the deadline, about 0.05 s at n = 4.
+    Building the classes after the search (one canonical order per
+    distinct matrix found, about 0.08 ms each at n = 5 and 0.35 ms at
+    n = 6) is not cut short and comes on top.  At n = 6 a 2 s budget finds
+    about 720 distinct matrices, so the classes add about 0.25 s and the
+    run returns after about 2.3 s.
     """
     if not 2 <= n <= CANON_CAP:
         raise ValueError(f"enumeration supports 2 <= n <= {CANON_CAP}, got {n}")
@@ -314,72 +283,60 @@ def enumerate_erdos(
         max_support = cap
     if not 1 <= max_support <= cap:
         raise ValueError(f"max_support must lie in [1, {cap}], got {max_support}")
-    if workers is None:
-        workers = int(os.environ.get("ERDOSMAT_WORKERS", "1"))
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    if budget is not None and not budget > 0:
+        raise ValueError(f"budget must be positive, got {budget}")
 
     t0 = time.perf_counter()
     deadline = time.time() + budget if budget is not None else None
     tables = get_tables(n)
-    nperms = factorial(n)
-    collector = _Collector(n)
+    collector = _Collector()
     complete = True
 
     def out_of_time() -> bool:
         return deadline is not None and time.time() >= deadline
 
-    def shallow_node(ranks) -> None:
-        collector.visited += 1
-        res = _pipeline_at(tables, ranks)
-        collector.record_pipeline(tables, ranks, res)
+    # every prefix of up to three elements, in walk order; any two or three
+    # distinct permutation matrices are linearly independent
+    shards = [
+        (0,) + rest
+        for size in range(min(max_support, 3))
+        for rest in itertools.combinations(range(1, factorial(n)), size)
+    ]
+    done = 0
 
-    # sizes 1 and 2 run through the exact pipeline in the driver; any two
-    # or three distinct permutation matrices are linearly independent
-    shallow_node((0,))
-    if max_support >= 2:
-        for a in range(1, nperms):
-            if out_of_time():
-                complete = False
-                break
-            shallow_node((0, a))
-
-    # sizes >= 3 are sharded by the first two non-identity elements
-    if max_support >= 3 and complete:
-        shards = [(0, a, b) for a in range(1, nperms) for b in range(a + 1, nperms)]
-        done = 0
-
-        def consume(result) -> bool:
-            nonlocal complete, done
-            counters, raws, truncated = result
-            collector.merge_counters(*counters)
-            collector.merge_raws(raws)
-            done += 1
-            if progress is not None:
-                progress(done, n_batches)
-            if truncated:
-                complete = False
-            return complete and not out_of_time()
-
-        if workers == 1:
-            n_batches = len(shards)
-            for prefix in shards:
-                result = _shard_batch((n, max_support, deadline, [prefix]))
-                if not consume(result):
-                    break
-        else:
-            batches = [shards[i::workers * 8] for i in range(workers * 8)]
-            batches = [b for b in batches if b]
-            n_batches = len(batches)
-            ctx = get_context("fork")
-            with ctx.Pool(workers) as pool:
-                jobs = [(n, max_support, deadline, batch) for batch in batches]
-                for result in pool.imap(_shard_batch, jobs):
-                    if not consume(result):
-                        pool.terminate()
-                        break
-        if out_of_time() and done < n_batches:
+    def consume(result) -> bool:
+        nonlocal complete, done
+        counters, raws, truncated = result
+        collector.merge_counters(*counters)
+        collector.merge_raws(raws)
+        done += 1
+        if progress is not None:
+            progress(done, n_batches)
+        if truncated:
             complete = False
+        return complete and not out_of_time()
+
+    if workers == 1:
+        n_batches = len(shards)
+        for prefix in shards:
+            result = _shard_batch((n, max_support, deadline, [prefix]))
+            if not consume(result):
+                break
+    else:
+        batches = [shards[i::workers * 8] for i in range(workers * 8)]
+        batches = [b for b in batches if b]
+        n_batches = len(batches)
+        ctx = get_context("fork")
+        with ctx.Pool(workers) as pool:
+            jobs = [(n, max_support, deadline, batch) for batch in batches]
+            for result in pool.imap(_shard_batch, jobs):
+                if not consume(result):
+                    pool.terminate()
+                    break
+    if out_of_time() and done < n_batches:
+        complete = False
 
     classes = _build_classes(tables, collector)
     elapsed = time.perf_counter() - t0
@@ -410,13 +367,7 @@ def _build_classes(tables: _Tables, collector: _Collector) -> list:
     for (s, anum), (count, rep) in collector.raws.items():
         rp, cols = _canonical_order([anum[i * n:(i + 1) * n] for i in range(n)])
         key = (s, tuple(anum[r * n + c] for r in rp for c in cols))
-        entry = grouped.get(key)
-        if entry is None:
-            grouped[key] = [count, rep]
-        else:
-            entry[0] += count
-            if rep < entry[1]:
-                entry[1] = rep
+        _add_sources(grouped, key, count, rep)
 
     classes = []
     for (s, flat), (sources, rep) in grouped.items():

@@ -17,18 +17,11 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .assignment import MaxTraceCertificate, is_erdos
-from .linalg import (
-    BistochasticMatrix,
-    Matrix,
-    affine_independent,
-    linear_independent,
-    solve,
-)
-from .perms import agreement_count, conjugacy_class_reps
+from .linalg import BistochasticMatrix, Matrix, linear_independent, solve
+from .perms import Permutation, agreement_count, conjugacy_class_reps
 from .rational import format_rational
 
 INDEP_LINEAR = "linear"
-INDEP_AFFINE_ONLY = "affine_only"
 INDEP_DEPENDENT = "dependent"
 
 STATUS_OK = "ok"
@@ -85,7 +78,11 @@ class PipelineResult:
 
 
 def build_gram(perms) -> GramSystem:
-    """Gram matrix of a collection plus its independence classification."""
+    """Gram matrix of a collection plus its independence classification.
+
+    Linear and affine independence coincide for permutation matrices (see
+    ``birkhoff.reduce_linear``), so one elimination classifies the set.
+    """
     perms = tuple(perms)
     if not perms:
         raise ValueError("need at least one permutation")
@@ -97,12 +94,7 @@ def build_gram(perms) -> GramSystem:
     gram = tuple(
         tuple(agreement_count(a, b) for b in perms) for a in perms
     )
-    if linear_independent(perms):
-        independence = INDEP_LINEAR
-    elif affine_independent(perms):
-        independence = INDEP_AFFINE_ONLY
-    else:
-        independence = INDEP_DEPENDENT
+    independence = INDEP_LINEAR if linear_independent(perms) else INDEP_DEPENDENT
     return GramSystem(perms, gram, independence)
 
 
@@ -110,10 +102,7 @@ def solve_candidate(g: GramSystem) -> CandidateSolution:
     """The unique normalized solution of M x = <Mx, x> 1 for an independent set."""
     if g.independence != INDEP_LINEAR:
         raise ValueError("collection is not linearly independent")
-    return _solve_gram_rows(g.gram)
-
-
-def _solve_gram_rows(gram_rows) -> CandidateSolution:
+    gram_rows = g.gram
     m = len(gram_rows)
     y = solve(Matrix(gram_rows), [1] * m)
     s = sum(y)
@@ -138,12 +127,7 @@ def assemble(g: GramSystem, sol: CandidateSolution) -> BistochasticMatrix:
     if not sol.nonneg:
         bad = next(v for v in sol.x if v < 0)
         raise ValueError(f"negative coordinate {format_rational(bad)} in candidate")
-    n = g.n
-    entries = [[Fraction(0)] * n for _ in range(n)]
-    for coef, p in zip(sol.x, g.perms):
-        for j, i in enumerate(p.images):
-            entries[i][j] += coef
-    return BistochasticMatrix(entries)
+    return BistochasticMatrix.combination(zip(sol.x, g.perms))
 
 
 def pipeline(perms, method: str = "auto") -> PipelineResult:
@@ -151,17 +135,7 @@ def pipeline(perms, method: str = "auto") -> PipelineResult:
     g = build_gram(perms)
     if g.independence != INDEP_LINEAR:
         return PipelineResult(REJECT_DEPENDENT, g, None, None, None)
-    return _finish_pipeline(g, method)
-
-
-def _pipeline_known_independent(perms, gram_rows, method: str = "auto") -> PipelineResult:
-    """Pipeline fast path when independence was already established."""
-    g = GramSystem(tuple(perms), tuple(tuple(r) for r in gram_rows), INDEP_LINEAR)
-    return _finish_pipeline(g, method)
-
-
-def _finish_pipeline(g: GramSystem, method: str) -> PipelineResult:
-    sol = _solve_gram_rows(g.gram)
+    sol = solve_candidate(g)
     if not sol.nonneg:
         return PipelineResult(REJECT_NEGATIVE, g, sol, None, None)
     a = assemble(g, sol)
@@ -183,13 +157,9 @@ def half_identity_family(n: int) -> list:
         raise ValueError("n must be at least 1")
     half = Fraction(1, 2)
     out = []
+    identity = Permutation.identity(n)
     for p in conjugacy_class_reps(n):
-        entries = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            entries[i][i] += half
-        for j, i in enumerate(p.images):
-            entries[i][j] += half
-        a = BistochasticMatrix(entries)
+        a = BistochasticMatrix.combination([(half, identity), (half, p)])
         verdict, cert = is_erdos(a)
         expected = Fraction(n + p.fixed_points(), 2)
         if not verdict or cert.value != expected:

@@ -129,11 +129,12 @@ def run_shard(tables, prefix, max_support: int, deadline: float | None = None):
     ``stats`` is (visited, dependent, negative, maxtr): the independent
     nodes visited, the extensions rejected as dependent, and the visited
     nodes rejected for a negative weight or for a maximal trace above the
-    common value.  ``accepted`` lists (support, u, s), the candidate's
-    weights being u/s in lowest terms.  The clock (``time.time``) is read
-    every ``CLOCK_EVERY`` nodes, starting at the first; once ``deadline``
-    has passed the walk stops with ``truncated`` set, leaving the pending
-    node uncounted.
+    common value.  ``accepted`` lists (support, u, s, anum), the
+    candidate's weights being u/s in lowest terms and anum the row-major
+    entries of sum u_k P_k, the candidate matrix times s.  The clock
+    (``time.time``) is read every ``CLOCK_EVERY`` nodes, starting at the
+    first; once ``deadline`` has passed the walk stops with ``truncated``
+    set, leaving the pending node uncounted.
     """
     pos = tables.pos
     agree = tables.agree
@@ -171,7 +172,7 @@ def run_shard(tables, prefix, max_support: int, deadline: float | None = None):
         entries = iter(on_perms(anum))
         best = max(map(sum, zip(*[entries] * n)))
         if frob == s * best:
-            accepted.append((tuple(support), tuple(u), s))
+            accepted.append((tuple(support), tuple(u), s, anum))
         else:
             stats[3] += 1
 

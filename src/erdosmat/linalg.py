@@ -166,6 +166,17 @@ class BistochasticMatrix(Matrix):
         e = Fraction(1, n)
         return BistochasticMatrix([[e] * n for _ in range(n)])
 
+    @staticmethod
+    def combination(terms) -> "BistochasticMatrix":
+        """sum c_i P_i over ``(c, P)`` terms, each P a ``Permutation`` of one size."""
+        terms = list(terms)
+        n = terms[0][1].n
+        entries = [[Fraction(0)] * n for _ in range(n)]
+        for c, p in terms:
+            for j, i in enumerate(p.images):
+                entries[i][j] += c
+        return BistochasticMatrix(entries)
+
 
 def _dot(u, v):
     return sum((a * b for a, b in zip(u, v)), Fraction(0))

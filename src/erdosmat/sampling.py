@@ -31,10 +31,7 @@ def random_bistochastic(
     k = rng.randint(1, max_terms if max_terms is not None else 2 * n)
     raw = [rng.randint(1, weight_bound) for _ in range(k)]
     total = sum(raw)
-    entries = [[Fraction(0)] * n for _ in range(n)]
-    for w in raw:
-        p = random_permutation(n, rng)
-        coef = Fraction(w, total)
-        for j, i in enumerate(p.images):
-            entries[i][j] += coef
-    return BistochasticMatrix(entries)
+    perms = [random_permutation(n, rng) for _ in raw]
+    return BistochasticMatrix.combination(
+        (Fraction(w, total), p) for w, p in zip(raw, perms)
+    )

@@ -105,6 +105,13 @@ def test_enumerate_bad_n(capsys):
 
 def test_enumerate_bad_budget(capsys):
     assert main(["enumerate", "-n", "2", "--budget", "tomorrow", "--quiet"]) == 2
+    for budget in ("nan", "0s"):
+        assert main(["enumerate", "-n", "2", "--budget", budget, "--quiet"]) == 2
+        assert "budget must be positive" in capsys.readouterr().err
+
+
+def test_enumerate_infinite_budget(capsys):
+    assert main(["enumerate", "-n", "2", "--budget", "inf", "--quiet"]) == 0
 
 
 def test_enumerate_budget_truncates(capsys):

@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -9,14 +10,19 @@ from erdosmat.assignment import frobenius_sq, is_erdos
 from erdosmat.enumeration import (
     _build_classes,
     _Collector,
-    _pipeline_at,
     _shard_batch,
     canonical_form,
     enumerate_erdos,
     get_tables,
 )
-from erdosmat.gram import count_bound, half_identity_family
-from erdosmat.linalg import linear_independent
+from erdosmat.gram import (
+    REJECT_MAXTR,
+    REJECT_NEGATIVE,
+    STATUS_OK,
+    count_bound,
+    half_identity_family,
+    pipeline,
+)
 from erdosmat.linalg import BistochasticMatrix
 from erdosmat.perms import Permutation, partitions
 from erdosmat.sampling import random_bistochastic, random_permutation
@@ -148,31 +154,46 @@ def test_enumerate_n3_catalog(ref):
     assert report.rejected_maxtr == 0
 
 
+def _record_pipeline(collector, tables, ranks):
+    """File the ``gram.pipeline`` verdict (``Fraction`` arithmetic) on one support."""
+    res = pipeline([tables.perms[r] for r in ranks])
+    collector.visited += 1
+    if res.status == REJECT_NEGATIVE:
+        collector.neg += 1
+    elif res.status == REJECT_MAXTR:
+        collector.maxtr += 1
+    else:
+        assert res.status == STATUS_OK, (ranks, res.status)
+        x = res.solution.x
+        s = lcm(*(v.denominator for v in x))
+        anum = [int(e * s) for e in res.matrix.flatten()]
+        collector.record_candidate(ranks, tuple(int(v * s) for v in x), s, anum)
+
+
 def test_engines_agree_n3():
-    # the integer walk against the rational pipeline run on every
-    # independent support containing the identity (no dependent
-    # extension exists at n = 3)
-    tables = get_tables(3)
-    collector = _Collector(3)
-    for size in range(1, 6):
-        for rest in itertools.combinations(range(1, 6), size - 1):
-            ranks = (0,) + rest
-            if linear_independent([tables.perms[r] for r in ranks]):
-                collector.visited += 1
-                collector.record_pipeline(tables, ranks, _pipeline_at(tables, ranks))
-    classes = _build_classes(tables, collector)
-    report = enumerate_erdos(3)
-    assert report.engine == "int-walk"
-    assert _report_key(report) == (
-        [c.canonical.flatten() for c in classes],
-        collector.visited,
-        collector.dep,
-        collector.neg,
-        collector.maxtr,
-        [c.sources for c in classes],
-        [[p.rank() for p in c.support] for c in classes],
-        [c.weights for c in classes],
-    )
+    # the integer walk against the rational pipeline run on every support
+    # containing the identity, all independent: every size at n = 3 (no
+    # dependent extension exists there), and sizes one and two at n = 5
+    for n, max_support in ((3, 5), (5, 2)):
+        tables = get_tables(n)
+        collector = _Collector()
+        for size in range(max_support):
+            for rest in itertools.combinations(range(1, len(tables.perms)), size):
+                _record_pipeline(collector, tables, (0,) + rest)
+        classes = _build_classes(tables, collector)
+        report = enumerate_erdos(n, max_support=max_support)
+        assert report.engine == "int-walk"
+        assert report.complete
+        assert _report_key(report) == (
+            [c.canonical.flatten() for c in classes],
+            collector.visited,
+            collector.dep,
+            collector.neg,
+            collector.maxtr,
+            [c.sources for c in classes],
+            [[p.rank() for p in c.support] for c in classes],
+            [c.weights for c in classes],
+        )
 
 
 def test_build_classes_matches_rowscan_grouping():
@@ -180,10 +201,9 @@ def test_build_classes_matches_rowscan_grouping():
     # and once by the row-scan oracle on each raw matrix
     n = 4
     tables = get_tables(n)
-    collector = _Collector(n)
+    collector = _Collector()
     for ranks in [(0,)] + [(0, a) for a in range(1, 24)]:
-        collector.visited += 1
-        collector.record_pipeline(tables, ranks, _pipeline_at(tables, ranks))
+        _record_pipeline(collector, tables, ranks)
     shards = [(0, a, b) for a in range(1, 24) for b in range(a + 1, 24)]
     counters, raws, truncated = _shard_batch((n, 5, None, shards))
     assert not truncated
@@ -264,6 +284,10 @@ def test_argument_validation():
         enumerate_erdos(3, engine="numpy")
     with pytest.raises(ValueError, match="workers"):
         enumerate_erdos(3, workers=0)
+    for budget in (0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="budget"):
+            enumerate_erdos(3, budget=budget)
+    assert enumerate_erdos(3, budget=float("inf")).complete
 
 
 def test_report_json_schema():

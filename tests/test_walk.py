@@ -59,9 +59,9 @@ def _walk(n, max_support):
     tables = get_tables(n)
     stats, accepted, truncated = kernels.run_shard(tables, (0,), max_support)
     assert not truncated
-    collector = _Collector(n)
-    for support, u, s in accepted:
-        collector.record_candidate(tables, support, u, s)
+    collector = _Collector()
+    for candidate in accepted:
+        collector.record_candidate(*candidate)
     found = {}
     for (s, anum), (count, (size, ranks, u, us)) in collector.raws.items():
         key = tuple(Fraction(a, s) for a in anum)
