@@ -25,8 +25,11 @@ trying rows in ascending order, which yields the witnesses in
 lexicographic order of their one-line images, the order of the
 brute-force scan over S_n.  Full listing stops at n = ``BRUTE_CAP``
 (8), where the witness count is at most 8! = 40,320; beyond it one
-witness is returned.  The brute-force scan over Fractions is kept as
-the independent oracle the tests compare against.
+witness is returned.  Both searches yield permutations by construction
+(``_certify`` checks the Kuhn-Munkres one), so witnesses are wrapped as
+``Permutation`` without re-validating each one.  The brute-force scan
+over Fractions is kept as the independent oracle the tests compare
+against.
 """
 
 from __future__ import annotations
@@ -94,9 +97,9 @@ def max_trace(a: Matrix, method: str = "auto") -> MaxTraceCertificate:
     images, u, v = _kuhn_munkres(w)
     value = Fraction(_certify(w, images, u, v), scale)
     if method == "auto" and n <= BRUTE_CAP:
-        witnesses = tuple(Permutation(p) for p in _tight_matchings(w, u, v))
+        witnesses = tuple(map(Permutation._unchecked, _tight_matchings(w, u, v)))
         return MaxTraceCertificate(value, witnesses, True, "hungarian-tight")
-    return MaxTraceCertificate(value, (Permutation(images),), False, "hungarian")
+    return MaxTraceCertificate(value, (Permutation._unchecked(images),), False, "hungarian")
 
 
 def delta(a: Matrix, method: str = "auto") -> Fraction:

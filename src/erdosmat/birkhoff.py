@@ -3,16 +3,26 @@
 ``decompose`` writes a bistochastic matrix as an exact convex
 combination of permutation matrices with the classical greedy loop:
 find a permutation inside the positive support, subtract the minimal
-entry along it, repeat.  ``reduce_affine`` shrinks a decomposition to an
+entry along it, repeat.  The loop runs on integers, the matrix scaled
+once by the least common multiple of its denominators, and takes the
+lexicographically least permutation of the support from one Kuhn
+matching repaired column by column with single augmenting paths.
+``reduce_affine`` shrinks a decomposition to an
 affinely independent support (Caratheodory-style exchange steps) and
 ``reduce_linear`` to a linearly independent one.  For permutation
 matrices the two notions coincide, because every permutation matrix has
 entry sum n, forcing any annihilating coefficient vector to sum to zero.
+
+Greedy output is always independent: each round zeroes an entry that no
+later round uses, so every term is alone on the entry it zeroed, and
+``linalg.affine_independent`` proves that by peeling alone, with no
+elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .linalg import BistochasticMatrix, Matrix, affine_independent, kernel_vector
 from .perms import Permutation
@@ -96,21 +106,31 @@ def decompose(a: BistochasticMatrix) -> ConvexDecomposition:
     permutation available in the positive support, so the output is
     reproducible.  A permutation matrix decomposes as itself; every round
     zeroes at least one entry, so there are at most (n-1)^2 + 1 terms.
+
+    The work is in integers: A is scaled once by the least common
+    multiple of its denominators, the residual stays an integer matrix,
+    and a round updates the positive-support grid only at the n cells it
+    subtracts from.  Coefficients are emitted as ``Fraction(c, scale)``.
+    Each round's permutation comes from ``_lex_min_matching``: one Kuhn
+    matching, then one augmenting-path search per row tried, rather than
+    a full matching from scratch per row tried.
     """
     n = a.n
-    residual = [list(row) for row in a]
-    remaining = Fraction(1)
+    scale = lcm(*(e.denominator for row in a for e in row))
+    residual = [[e.numerator * (scale // e.denominator) for e in row] for row in a]
+    allowed = [[e > 0 for e in row] for row in residual]
+    remaining = scale
     terms = []
     while remaining > 0:
-        allowed = [[residual[i][j] > 0 for j in range(n)] for i in range(n)]
         images = _lex_min_matching(allowed)
         if images is None:
             raise RuntimeError("no perfect matching in the positive support")
         coef = min(residual[images[j]][j] for j in range(n))
-        for j in range(n):
-            residual[images[j]][j] -= coef
+        for j, i in enumerate(images):
+            residual[i][j] -= coef
+            allowed[i][j] = residual[i][j] > 0
         remaining -= coef
-        terms.append((coef, Permutation(images)))
+        terms.append((Fraction(coef, scale), Permutation._unchecked(images)))
     if any(e != 0 for row in residual for e in row):
         raise RuntimeError("decomposition left a nonzero residual")
     return ConvexDecomposition(terms)
@@ -167,39 +187,54 @@ def _affine_dependency(support):
 
 
 def _lex_min_matching(allowed):
-    """Lexicographically smallest perfect matching images[j] = row of column j."""
+    """Lexicographically smallest perfect matching images[j] = row of column j.
+
+    ``allowed[i][j]`` says whether row i may serve column j; None when no
+    perfect matching exists.  Kuhn's augmenting paths build one perfect
+    matching.  Then, column by column, rows are tried in ascending order:
+    the current partner is kept, or a smaller free row i is forced onto
+    column j, which displaces the column i served.  Columns before j are
+    fixed, so the displaced column has exactly one place to go, the row
+    column j gave up, and one augmenting-path search among the later
+    columns decides whether i can stay.  By Berge's theorem that search
+    succeeds exactly when the later columns can still all be matched.
+    """
     n = len(allowed)
-    images = []
-    used_rows = set()
-    for j in range(n):
-        for i in range(n):
-            if i in used_rows or not allowed[i][j]:
+    rows_of = [[i for i in range(n) if allowed[i][j]] for j in range(n)]
+    images = [None] * n
+    col_of = [None] * n
+
+    def augment(j, first, seen) -> bool:
+        """Match column j, re-matching only columns >= first along the way."""
+        for i in rows_of[j]:
+            if seen[i]:
                 continue
-            if _matchable(allowed, used_rows | {i}, j + 1):
-                images.append(i)
-                used_rows.add(i)
-                break
-        else:
-            return None
-    return images
-
-
-def _matchable(allowed, used_rows, start_col) -> bool:
-    """Whether columns start_col.. can all be matched to distinct unused rows."""
-    n = len(allowed)
-    match_row = {}
-
-    def try_col(j, seen):
-        for i in range(n):
-            if i in used_rows or i in seen or not allowed[i][j]:
-                continue
-            seen.add(i)
-            if i not in match_row or try_col(match_row[i], seen):
-                match_row[i] = j
+            seen[i] = True
+            c = col_of[i]
+            if c is None or (c >= first and augment(c, first, seen)):
+                images[j] = i
+                col_of[i] = j
                 return True
         return False
 
-    for j in range(start_col, n):
-        if not try_col(j, set()):
-            return False
-    return True
+    for j in range(n):
+        if not augment(j, 0, [False] * n):
+            return None
+    for j in range(n):
+        for i in rows_of[j]:
+            c = col_of[i]
+            if c == j:
+                break
+            if c < j:
+                continue
+            r = images[j]
+            col_of[r] = None
+            images[j] = i
+            col_of[i] = j
+            if augment(c, j + 1, [False] * n):
+                break
+            images[c] = i
+            col_of[i] = c
+            images[j] = r
+            col_of[r] = j
+    return images

@@ -95,7 +95,10 @@ class _Tables:
 
     ``pos[g]`` lists the row-major positions of the ones of permutation
     matrix g, one per column; ``agree[g][h]`` is the agreement count of g
-    and h, the Frobenius inner product of their matrices.
+    and h, the Frobenius inner product of their matrices.  ``on_perms``
+    maps a row-major matrix to its entries on every permutation, n
+    consecutive values per rank, as one ``itemgetter`` built once here
+    rather than once per shard.
     """
 
     def __init__(self, n: int):
@@ -106,6 +109,7 @@ class _Tables:
         self.pos = tuple(
             tuple(i * n + j for j, i in enumerate(p.images)) for p in self.perms
         )
+        self.on_perms = operator.itemgetter(*[j for p in self.pos for j in p])
         images = [p.images for p in self.perms]
         self.agree = tuple(
             tuple(sum(map(operator.eq, a, b)) for b in images) for a in images

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import time
 from math import gcd
-from operator import itemgetter
 
 # the clock is read once per this many visited nodes
 CLOCK_EVERY = 1024
@@ -120,11 +119,12 @@ def run_shard(tables, prefix, max_support: int, deadline: float | None = None):
 
     ``tables`` supplies ``pos`` (the flat positions of each permutation
     matrix's ones) and ``agree`` (pairwise agreement counts), indexed by
-    permutation rank.  ``prefix`` holds increasing ranks of a linearly
-    independent support; ``ValueError`` is raised otherwise.  The prefix is
-    the first node, followed depth first by every independent extension
-    with larger ranks and at most ``max_support`` elements, in increasing
-    rank order.
+    permutation rank, and ``on_perms``, which reads a flat matrix's
+    entries on every permutation in turn.  ``prefix`` holds increasing
+    ranks of a linearly independent support; ``ValueError`` is raised
+    otherwise.  The prefix is the first node, followed depth first by
+    every independent extension with larger ranks and at most
+    ``max_support`` elements, in increasing rank order.
 
     ``stats`` is (visited, dependent, negative, maxtr): the independent
     nodes visited, the extensions rejected as dependent, and the visited
@@ -140,8 +140,7 @@ def run_shard(tables, prefix, max_support: int, deadline: float | None = None):
     agree = tables.agree
     nperms = len(pos)
     n = len(pos[0])
-    # the entries of A on every permutation, n consecutive values each
-    on_perms = itemgetter(*[j for p in pos for j in p])
+    on_perms = tables.on_perms
 
     elim = _GramElimination()
     support = []

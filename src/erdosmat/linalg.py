@@ -4,6 +4,11 @@ Rank, solve and inverse run Bareiss-style fraction-free elimination on
 integer-scaled rows (exact divisions, entries stay determinant-bounded),
 followed by a rational back-substitution pass.  Singularity is detected
 by a pivot search finding only zeros, never by tolerance.
+
+Independence of permutation matrices is decided the same way after a
+peeling pass: a permutation that is the only one with a 1 in some cell
+has a zero coefficient in every dependency, so it is set aside and only
+the remaining core is eliminated.
 """
 
 from __future__ import annotations
@@ -168,14 +173,19 @@ class BistochasticMatrix(Matrix):
 
     @staticmethod
     def combination(terms) -> "BistochasticMatrix":
-        """sum c_i P_i over ``(c, P)`` terms, each P a ``Permutation`` of one size."""
-        terms = list(terms)
+        """sum c_i P_i over ``(c, P)`` terms, each P a ``Permutation`` of one size.
+
+        Summed in integers over the least common denominator of the c_i.
+        """
+        terms = [(as_rational(c), p) for c, p in terms]
         n = terms[0][1].n
-        entries = [[Fraction(0)] * n for _ in range(n)]
+        scale = lcm(*(c.denominator for c, _ in terms))
+        nums = [[0] * n for _ in range(n)]
         for c, p in terms:
+            k = c.numerator * (scale // c.denominator)
             for j, i in enumerate(p.images):
-                entries[i][j] += c
-        return BistochasticMatrix(entries)
+                nums[i][j] += k
+        return BistochasticMatrix([[Fraction(e, scale) for e in row] for row in nums])
 
 
 def _dot(u, v):
@@ -355,45 +365,87 @@ def frobenius_inner(a: Matrix, b: Matrix) -> Fraction:
     return sum((x * y for r1, r2 in zip(a, b) for x, y in zip(r1, r2)), Fraction(0))
 
 
-def _perm_flat_rows(perms, extra=None):
-    if not perms:
-        return []
+def _peel(perms) -> list:
+    """Indices of the permutations left once private entries are peeled off.
+
+    Repeatedly removes a permutation that is the only remaining one with
+    a 1 in some cell, until none is; the indices of the rest (the core)
+    come back in input order.  Each cell keeps the set of remaining
+    permutations through it, so the whole peel costs O(m n).
+    """
     n = perms[0].n
-    rows = []
-    for p in perms:
+    through = [set() for _ in range(n * n)]
+    cells = []
+    for k, p in enumerate(perms):
         if p.n != n:
             raise ValueError(f"mixed dimensions: S_{n} vs S_{p.n}")
+        mine = [i * n + j for j, i in enumerate(p.images)]
+        cells.append(mine)
+        for c in mine:
+            through[c].add(k)
+    alive = [True] * len(perms)
+    lonely = [c for c, ks in enumerate(through) if len(ks) == 1]
+    while lonely:
+        ks = through[lonely.pop()]
+        if len(ks) != 1:
+            continue
+        k = ks.pop()
+        alive[k] = False
+        for c in cells[k]:
+            ks = through[c]
+            ks.discard(k)
+            if len(ks) == 1:
+                lonely.append(c)
+    return [k for k, a in enumerate(alive) if a]
+
+
+def _independent(perms, extra) -> bool:
+    """Whether the flattenings, each followed by ``extra`` if given, are independent.
+
+    Peeling keeps the answer: if a permutation is the only one with a 1 in
+    some cell, that cell's equation alone forces its coefficient to zero in
+    any annihilating vector, so the set is independent exactly when the
+    rest is.  Bareiss elimination then runs on the core only.
+    """
+    perms = list(perms)
+    if not perms:
+        return True
+    core = _peel(perms)
+    if not core:
+        return True
+    n = perms[0].n
+    rows = []
+    for k in core:
         row = [0] * (n * n)
-        for j, i in enumerate(p.images):
+        for j, i in enumerate(perms[k].images):
             row[i * n + j] = 1
         if extra is not None:
             row.append(extra)
         rows.append(row)
-    return rows
+    pivots, _ = _forward_eliminate(rows)
+    return len(pivots) == len(rows)
 
 
 def linear_independent(perms) -> bool:
-    """True when the flattened permutation matrices are linearly independent."""
-    perms = list(perms)
-    if not perms:
-        return True
-    rows = _perm_flat_rows(perms)
-    pivots, _ = _forward_eliminate(rows)
-    return len(pivots) == len(perms)
+    """True when the flattened permutation matrices are linearly independent.
+
+    Decided on the core left by ``_peel``: a permutation alone on a cell
+    has a zero coefficient in every dependency, so removing it changes
+    nothing.  Greedy ``birkhoff.decompose`` output peels to nothing,
+    since each of its terms is alone on the entry it zeroed.
+    """
+    return _independent(perms, None)
 
 
 def affine_independent(perms) -> bool:
     """True when no nonzero zero-sum coefficient vector annihilates the set.
 
     Equivalent to linear independence of the flattenings augmented with a
-    constant coordinate 1.
+    constant coordinate 1.  The peeling argument of ``linear_independent``
+    holds unchanged, since it reads only the cell coordinates, so the
+    augmented elimination runs on the peeled core alone.
     """
-    perms = list(perms)
-    if not perms:
-        return True
-    rows = _perm_flat_rows(perms, extra=1)
-    pivots, _ = _forward_eliminate(rows)
-    return len(pivots) == len(perms)
+    return _independent(perms, 1)
 
 
 def parse_matrix(text: str, bistochastic: bool = False) -> Matrix:

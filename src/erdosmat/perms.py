@@ -31,6 +31,16 @@ class Permutation:
         raise AttributeError("Permutation is immutable")
 
     @classmethod
+    def _unchecked(cls, images) -> "Permutation":
+        """Wrap images known to be a permutation of 0..n-1, without the check.
+
+        For callers whose images come from a matching they built themselves.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", tuple(images))
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(n))
 

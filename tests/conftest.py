@@ -1,8 +1,10 @@
 """Shared fixtures: reference matrices and independent oracle helpers.
 
 The oracles here (plain Gaussian elimination, brute-force and row-scan
-canonical minimization) are deliberately separate implementations from
-the library paths they check.
+canonical minimization, the unpeeled independence test, and the greedy
+decomposition over Fractions with a from-scratch matching per candidate
+row) are deliberately separate implementations from the library paths
+they check.
 """
 
 from fractions import Fraction
@@ -11,6 +13,8 @@ from itertools import permutations
 import pytest
 
 from erdosmat import BistochasticMatrix
+from erdosmat.linalg import _forward_eliminate
+from erdosmat.perms import Permutation
 
 
 F = Fraction
@@ -109,3 +113,90 @@ def direct_sum(*blocks):
             rows[at + i][at:at + b.n] = b[i]
         at += b.n
     return BistochasticMatrix(rows)
+
+
+def unpeeled_independent(perms, affine: bool = False) -> bool:
+    """Independence by Bareiss elimination of every flattening (oracle).
+
+    With ``affine`` each flattening gets a constant coordinate 1.
+    """
+    perms = list(perms)
+    if not perms:
+        return True
+    n = perms[0].n
+    rows = []
+    for p in perms:
+        if p.n != n:
+            raise ValueError(f"mixed dimensions: S_{n} vs S_{p.n}")
+        row = [0] * (n * n)
+        for j, i in enumerate(p.images):
+            row[i * n + j] = 1
+        rows.append(row + [1] if affine else row)
+    pivots, _ = _forward_eliminate(rows)
+    return len(pivots) == len(perms)
+
+
+def oracle_lex_min_matching(allowed):
+    """Lexicographically smallest perfect matching images[j] = row of column j.
+
+    For each column in turn, the first row that leaves the later columns
+    matchable, tested by a full matching from scratch (oracle).
+    """
+    n = len(allowed)
+    images = []
+    used_rows = set()
+    for j in range(n):
+        for i in range(n):
+            if i in used_rows or not allowed[i][j]:
+                continue
+            if _oracle_matchable(allowed, used_rows | {i}, j + 1):
+                images.append(i)
+                used_rows.add(i)
+                break
+        else:
+            return None
+    return images
+
+
+def _oracle_matchable(allowed, used_rows, start_col) -> bool:
+    """Whether columns start_col.. can all be matched to distinct unused rows."""
+    n = len(allowed)
+    match_row = {}
+
+    def try_col(j, seen):
+        for i in range(n):
+            if i in used_rows or i in seen or not allowed[i][j]:
+                continue
+            seen.add(i)
+            if i not in match_row or try_col(match_row[i], seen):
+                match_row[i] = j
+                return True
+        return False
+
+    for j in range(start_col, n):
+        if not try_col(j, set()):
+            return False
+    return True
+
+
+def oracle_decompose(a):
+    """Greedy Birkhoff terms (coef, Permutation) over Fraction residuals (oracle).
+
+    Each round recomputes the positive support and takes its
+    lexicographically smallest perfect matching with
+    ``oracle_lex_min_matching``.
+    """
+    n = a.n
+    residual = [list(row) for row in a]
+    remaining = F(1)
+    terms = []
+    while remaining > 0:
+        allowed = [[residual[i][j] > 0 for j in range(n)] for i in range(n)]
+        images = oracle_lex_min_matching(allowed)
+        coef = min(residual[images[j]][j] for j in range(n))
+        for j in range(n):
+            residual[images[j]][j] -= coef
+        remaining -= coef
+        terms.append((coef, Permutation(images)))
+    assert all(e == 0 for row in residual for e in row)
+    return tuple(terms)

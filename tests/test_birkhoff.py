@@ -5,17 +5,21 @@ import pytest
 
 from erdosmat.birkhoff import (
     ConvexDecomposition,
+    _lex_min_matching,
     decompose,
     reduce_affine,
     reduce_linear,
 )
+from erdosmat.gram import half_identity_family
 from erdosmat.linalg import (
     BistochasticMatrix,
     affine_independent,
     linear_independent,
 )
 from erdosmat.perms import Permutation, all_permutations
-from erdosmat.sampling import random_bistochastic
+from erdosmat.sampling import random_bistochastic, random_permutation
+
+from conftest import oracle_decompose, oracle_lex_min_matching
 
 F = Fraction
 
@@ -55,6 +59,38 @@ def test_decompose_is_deterministic():
     for _ in range(10):
         a = random_bistochastic(4, rng)
         assert decompose(a).terms == decompose(a).terms
+
+
+def test_lex_min_matching_matches_oracle():
+    rng = random.Random(73)
+    found = {True: 0, False: 0}
+    for n in range(1, 8):
+        for density in (0.2, 0.35, 0.5, 0.7, 0.9):
+            for _ in range(40):
+                allowed = [[rng.random() < density for _ in range(n)] for _ in range(n)]
+                images = _lex_min_matching(allowed)
+                assert images == oracle_lex_min_matching(allowed)
+                found[images is None] += 1
+    # both grids with and without a perfect matching are covered
+    assert min(found.values()) > 100
+
+
+def test_decompose_matches_oracle():
+    rng = random.Random(79)
+    matrices = [BistochasticMatrix.uniform(n) for n in range(1, 8)]
+    for n in range(3, 7):
+        matrices += half_identity_family(n)
+    for n in range(3, 10):
+        matrices += [random_bistochastic(n, rng, max_terms=3 * n) for _ in range(3)]
+    # weights with large coprime denominators: 1/p for distinct large primes
+    primes = (1_000_003, 999_983, 1_000_033, 998_244_353, 1_000_000_007)
+    for n in (4, 6, 8):
+        weights = [F(1, p) for p in primes]
+        weights.append(1 - sum(weights))
+        perms = [random_permutation(n, rng) for _ in weights]
+        matrices.append(BistochasticMatrix.combination(zip(weights, perms)))
+    for a in matrices:
+        assert decompose(a).terms == oracle_decompose(a)
 
 
 def test_reduce_affine_unchanged_when_independent(ref):

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from erdosmat.birkhoff import decompose
 from erdosmat.linalg import (
     BistochasticMatrix,
     Matrix,
     MatrixParseError,
     NotBistochasticError,
     SingularMatrixError,
+    _peel,
     affine_independent,
     det,
     format_matrix,
@@ -22,8 +24,9 @@ from erdosmat.linalg import (
     solve_tall,
 )
 from erdosmat.perms import Permutation, all_permutations
+from erdosmat.sampling import random_bistochastic
 
-from conftest import naive_rank
+from conftest import naive_rank, unpeeled_independent
 
 F = Fraction
 
@@ -167,6 +170,65 @@ def test_linear_implies_affine():
                 sample.append(p)
         if linear_independent(sample):
             assert affine_independent(sample)
+
+
+def _s4_square():
+    return [
+        Permutation.identity(4),
+        Permutation.from_cycles(4, (1, 2)),
+        Permutation.from_cycles(4, (3, 4)),
+        Permutation.from_cycles(4, (1, 2), (3, 4)),
+    ]
+
+
+def test_peeled_independence_matches_unpeeled_oracle():
+    rng = random.Random(41)
+    square_plus = _s4_square() + [Permutation.from_cycles(4, (1, 3))]
+    cases = [all_permutations(3), _s4_square(), square_plus]
+    for n in (3, 4, 5):
+        group = all_permutations(n)
+        for _ in range(60):
+            cases.append(rng.sample(group, rng.randint(1, min(len(group), (n - 1) ** 2 + 3))))
+    outcomes = set()
+    for perms in cases:
+        for order in (perms, perms[::-1]):
+            lin = linear_independent(order)
+            aff = affine_independent(order)
+            assert lin == unpeeled_independent(order)
+            assert aff == unpeeled_independent(order, affine=True)
+            outcomes.add((lin, aff))
+    # both verdicts occur, so neither side can pass by always agreeing on one
+    assert outcomes == {(True, True), (False, False)}
+    assert not linear_independent(all_permutations(3))
+    assert not affine_independent(_s4_square())
+    # all of S_3 and the S_4 square keep their whole set as the core
+    assert _peel(all_permutations(3)) == list(range(6))
+    assert _peel(_s4_square()) == [0, 1, 2, 3]
+    # (13) is alone on cell (1, 3): it peels off, leaving the dependent square
+    assert _peel(square_plus) == [0, 1, 2, 3]
+    assert not linear_independent(square_plus)
+
+
+def test_independence_edge_cases():
+    assert linear_independent([]) and affine_independent([])
+    assert unpeeled_independent([]) and unpeeled_independent([], affine=True)
+    mixed = [Permutation.identity(3), Permutation.identity(4)]
+    for test in (linear_independent, affine_independent):
+        with pytest.raises(ValueError, match="mixed dimensions"):
+            test(mixed)
+        with pytest.raises(ValueError, match="mixed dimensions"):
+            test(mixed[::-1])
+
+
+def test_greedy_decomposition_peels_to_empty_core(ref):
+    matrices = list(ref.values())
+    rng = random.Random(43)
+    for n in range(3, 11):
+        matrices += [random_bistochastic(n, rng, max_terms=3 * n) for _ in range(4)]
+    for a in matrices:
+        support = list(decompose(a).support)
+        assert _peel(support) == []
+        assert unpeeled_independent(support, affine=True)
 
 
 def test_kernel_vector():
