@@ -10,6 +10,7 @@ error, 3 input error, 4 budget-truncated enumeration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -38,8 +39,7 @@ WITNESS_CAP = 100
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (MatrixParseError, NotBistochasticError, OSError) as exc:
@@ -50,7 +50,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused after."""
     parser = argparse.ArgumentParser(
         prog="erdosmat",
         description="Verify, decompose and enumerate Erdos matrices exactly.",

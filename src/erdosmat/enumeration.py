@@ -6,15 +6,18 @@ while the set stays linearly independent, tests the candidate at every
 node, and deduplicates accepted matrices by their canonical form under
 row/column permutation equivalence.  Every node is visited by the
 integer walk of ``kernels``, which carries one fraction-free elimination
-of the Gram system down the tree.
+of the Gram system down the tree.  The walk is orderly under conjugation
+``P -> s P s^-1``, which fixes the identity and maps each candidate to an
+equivalent one: it visits only the supports that are lexicographically
+least among their conjugates, and counts each for its whole orbit.
 
 Work is split into shards, each a prefix that one worker walks: {I} and
-every {I, a} are one-node shards, and every {I, a, b} roots the subtree
-of its supersets.  Shard results merge by summing counters and unioning
-accepted candidates, which is associative and commutative, so complete
-runs are deterministic for any worker count.  Every emitted class is
-re-verified through the exact rational pipeline of ``gram`` after
-canonicalization.
+every least {I, a} are one-node shards, and every least {I, a, b} roots
+the subtree of its supersets.  Shard results merge by summing counters
+and unioning accepted candidates, which is associative and commutative,
+so complete runs are deterministic for any worker count.  Every emitted
+class is re-verified through the exact rational pipeline of ``gram``
+after canonicalization.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 from multiprocessing import get_context
 
 from . import gram as gram_mod
@@ -62,7 +65,16 @@ class ErdosClass:
 
 @dataclass(frozen=True)
 class EnumerationReport:
-    """Classes found plus search statistics for one dimension."""
+    """Classes found plus search statistics for one dimension.
+
+    ``sets_visited``, ``rejected_negative``, ``rejected_maxtr`` and each
+    class's ``sources`` count linearly independent supports containing the
+    identity, every one of them, though the walk visits one per
+    conjugacy orbit.  ``rejected_dependent`` counts the dependent
+    extensions tried from the visited supports, each least in its own
+    orbit; orbits do not weight it, so it is not a count of all dependent
+    supports.
+    """
 
     n: int
     classes: tuple
@@ -99,6 +111,13 @@ class _Tables:
     maps a row-major matrix to its entries on every permutation, n
     consecutive values per rank, as one ``itemgetter`` built once here
     rather than once per shard.
+
+    ``conj[k]`` is the rank table of the conjugation ``p -> s p s^-1`` by
+    the permutation s of rank k + 1: ``conj[k][r]`` is the rank of the
+    image of r.  The walk codes a support as a mask with bit
+    ``bit[r] = 1 << (n! - 1 - r)`` for each rank r, and ``conj_bits[r]``
+    lists the bits of r's images under every conjugation, in the order of
+    ``conj``.
     """
 
     def __init__(self, n: int):
@@ -114,6 +133,45 @@ class _Tables:
         self.agree = tuple(
             tuple(sum(map(operator.eq, a, b)) for b in images) for a in images
         )
+        self.conj = _conjugation_tables(images)
+        nperms = len(images)
+        self.bit = tuple(1 << (nperms - 1 - r) for r in range(nperms))
+        self.conj_bits = tuple(
+            tuple(map(self.bit.__getitem__, col)) for col in zip(*self.conj)
+        )
+
+
+def _conjugation_tables(images) -> tuple:
+    """Rank tables of the conjugations ``p -> s p s^-1``, s != id, by rank of s.
+
+    ``images`` lists S_n in rank order.  Only the n - 1 adjacent
+    transpositions t are conjugated directly.  Conjugating by ``s t`` is
+    conjugating by t and then by s, so its table is ``T_s[T_t[r]]``, one
+    ``itemgetter`` call; the group is reached breadth first from the
+    identity.
+    """
+    n = len(images[0])
+    rank = {p: r for r, p in enumerate(images)}
+    steps = []
+    for k in range(n - 1):
+        t = list(range(n))
+        t[k], t[k + 1] = k + 1, k
+        table = [rank[tuple(t[p[t[i]]] for i in range(n))] for p in images]
+        steps.append((k, operator.itemgetter(*table)))
+    tables = {images[0]: tuple(range(len(images)))}
+    frontier = [images[0]]
+    while frontier:
+        grown = []
+        for s in frontier:
+            for k, after in steps:
+                st = list(s)
+                st[k], st[k + 1] = st[k + 1], st[k]
+                st = tuple(st)
+                if st not in tables:
+                    tables[st] = after(tables[s])
+                    grown.append(st)
+        frontier = grown
+    return tuple(tables[s] for s in images[1:])
 
 
 _tables_cache: dict = {}
@@ -222,12 +280,16 @@ class _Collector:
         for key, (count, rep) in raws.items():
             _add_sources(self.raws, key, count, rep)
 
-    def record_candidate(self, support_ranks, u, s, anum):
-        """File one accepted candidate of ``kernels.run_shard`` under its raw matrix."""
+    def record_candidate(self, support_ranks, u, s, anum, weight):
+        """File one accepted candidate of ``kernels.run_shard`` under its raw matrix.
+
+        It adds ``weight`` sources: the supports in the conjugacy orbit of
+        ``support_ranks``, whose candidates are all equivalent.
+        """
         g = gcd(s, *anum)
         key = (s // g, tuple(v // g for v in anum))
         rep = (len(support_ranks), tuple(support_ranks), tuple(u), s)
-        _add_sources(self.raws, key, 1, rep)
+        _add_sources(self.raws, key, weight, rep)
 
 
 def _shard_batch(args):
@@ -237,7 +299,7 @@ def _shard_batch(args):
     {I, a, b} shard walks its supersets up to ``max_support`` elements.
     ``deadline`` is wall-clock (time.time) so it stays meaningful across
     worker processes; the walk reads it at the start of every shard and
-    every ``kernels.CLOCK_EVERY`` nodes within one.
+    every ``kernels.CLOCK_EVERY`` tried extensions within one.
     """
     n, max_support, deadline, prefixes = args
     tables = get_tables(n)
@@ -272,13 +334,14 @@ def enumerate_erdos(
     classes still verified.  ``workers`` processes walk the shards.
 
     Budget slack: the clock is read at the start of every shard and every
-    ``kernels.CLOCK_EVERY`` (1,024) nodes inside one, so the search stops
-    at most that many nodes past the deadline, about 0.05 s at n = 4.
-    Building the classes after the search (one canonical order per
-    distinct matrix found, about 0.08 ms each at n = 5 and 0.35 ms at
-    n = 6) is not cut short and comes on top.  At n = 6 a 2 s budget finds
-    about 720 distinct matrices, so the classes add about 0.25 s and the
-    run returns after about 2.3 s.
+    ``kernels.CLOCK_EVERY`` (1,024) tried extensions inside one, visited
+    or not, so the search stops at most that many extensions past the
+    deadline: on a 2-core machine one such stretch took up to 0.05 s at
+    n = 4, 0.13 s at n = 5 and 0.29 s at n = 6.  Building the classes
+    after the search (one canonical order per distinct matrix found, about
+    0.08 ms each at n = 5 and 0.35 ms at n = 6) is not cut short and comes
+    on top; at n = 6 a 2 s budget finds about 15 distinct matrices, so the
+    run returns after 2.1 to 2.3 s.
     """
     if not 2 <= n <= CANON_CAP:
         raise ValueError(f"enumeration supports 2 <= n <= {CANON_CAP}, got {n}")
@@ -301,13 +364,9 @@ def enumerate_erdos(
     def out_of_time() -> bool:
         return deadline is not None and time.time() >= deadline
 
-    # every prefix of up to three elements, in walk order; any two or three
-    # distinct permutation matrices are linearly independent
-    shards = [
-        (0,) + rest
-        for size in range(min(max_support, 3))
-        for rest in itertools.combinations(range(1, factorial(n)), size)
-    ]
+    # every prefix of up to three elements that the walk visits; any two
+    # or three distinct permutation matrices are linearly independent
+    shards = kernels.least_prefixes(tables, min(max_support, 3))
     done = 0
 
     def consume(result) -> bool:

@@ -1,4 +1,4 @@
-"""The enumeration walk: one exact depth-first search over Python ints.
+"""The enumeration walk: one exact, orderly depth-first search over Python ints.
 
 The walk visits the linearly independent supersets of a shard prefix,
 extending by permutations of increasing rank.  One fraction-free
@@ -9,6 +9,17 @@ exactly when the extension is linearly dependent, and its back
 substitution gives the candidate weights.  Each candidate is then checked
 for nonnegativity and for the Erdos property in integers.
 
+The walk is orderly under conjugation (Read, Ann. Discrete Math. 2,
+1978).  Conjugation ``P -> s P s^-1`` fixes the identity and maps the
+candidate A of a support to the equivalent ``s A s^-1``, so a support is
+walked only if its sorted ranks are lexicographically least among its
+conjugates.  Being least is inherited by a support minus its largest
+element, so a support that is not least is dropped with its whole
+subtree.  The same comparison counts the conjugations that fix the
+support, and each visited support stands for its orbit of
+``n! / |stabiliser|`` supports in every source count and in every counter
+but the dependent one.
+
 All arithmetic is on Python ints, which cannot overflow.  Bareiss
 divisions are exact in theory; each one is checked, and a remainder
 raises ``ArithmeticError`` instead of being rounded away.
@@ -18,8 +29,9 @@ from __future__ import annotations
 
 import time
 from math import gcd
+from operator import or_
 
-# the clock is read once per this many visited nodes
+# the clock is read once per this many tried extensions
 CLOCK_EVERY = 1024
 
 
@@ -114,51 +126,103 @@ class _GramElimination:
         return u
 
 
+def least_prefixes(tables, size: int) -> list:
+    """The supports of at most ``size`` elements that the walk visits.
+
+    They contain the identity and are least in their conjugacy orbit,
+    linear independence aside; they come by increasing size, each size in
+    lexicographic order.  They are built by the orderly descent of
+    ``run_shard``, never by filtering every subset.
+    """
+    bit = tables.bit
+    conj_bits = tables.conj_bits
+    out = []
+
+    def grow(support, mask, images):
+        out.append(support)
+        if len(support) < size:
+            for x in range(support[-1] + 1, len(bit)):
+                child = mask | bit[x]
+                grown = list(map(or_, images, conj_bits[x]))
+                if max(grown) <= child:
+                    grow(support + (x,), child, grown)
+
+    grow((0,), bit[0], list(conj_bits[0]))
+    out.sort(key=len)
+    return out
+
+
 def run_shard(tables, prefix, max_support: int, deadline: float | None = None):
     """Walk the shard rooted at ``prefix``; return (stats, accepted, truncated).
 
-    ``tables`` supplies ``pos`` (the flat positions of each permutation
-    matrix's ones) and ``agree`` (pairwise agreement counts), indexed by
-    permutation rank, and ``on_perms``, which reads a flat matrix's
-    entries on every permutation in turn.  ``prefix`` holds increasing
-    ranks of a linearly independent support; ``ValueError`` is raised
-    otherwise.  The prefix is the first node, followed depth first by
-    every independent extension with larger ranks and at most
-    ``max_support`` elements, in increasing rank order.
+    ``tables`` supplies, indexed by permutation rank, ``pos`` (the flat
+    positions of each permutation matrix's ones), ``agree`` (pairwise
+    agreement counts), ``bit`` and ``conj_bits`` (a rank's bit in a
+    support's mask, and the bits of its images under the n! - 1
+    nontrivial conjugations), and ``on_perms``, which reads a flat
+    matrix's entries on every permutation in turn.  ``prefix`` holds
+    increasing ranks of a linearly independent support that is least in
+    its conjugacy orbit; ``ValueError`` is raised otherwise.  The prefix is
+    the first node, followed depth first by every independent extension
+    with larger ranks and at most ``max_support`` elements that is least
+    in its orbit, in increasing rank order.
 
-    ``stats`` is (visited, dependent, negative, maxtr): the independent
-    nodes visited, the extensions rejected as dependent, and the visited
-    nodes rejected for a negative weight or for a maximal trace above the
-    common value.  ``accepted`` lists (support, u, s, anum), the
-    candidate's weights being u/s in lowest terms and anum the row-major
-    entries of sum u_k P_k, the candidate matrix times s.  The clock
-    (``time.time``) is read every ``CLOCK_EVERY`` nodes, starting at the
-    first; once ``deadline`` has passed the walk stops with ``truncated``
-    set, leaving the pending node uncounted.
+    Masks put rank r at bit ``n! - 1 - r``, so of two supports of one size
+    the lexicographically smaller sorted tuple has the larger mask.  The
+    walk carries one image mask per conjugation; an extension by x ORs the
+    bit of x's image into each and is least exactly when no image mask
+    exceeds its own, and the image masks equal to its own count its
+    stabiliser.
+
+    ``stats`` is (visited, dependent, negative, maxtr).  visited counts
+    the supports in the orbits of the visited nodes, and negative and
+    maxtr those among them rejected for a negative weight or for a maximal
+    trace above the common value: exactly what a walk over every support
+    would count.  dependent counts the dependent extensions tried from
+    visited nodes, each least in its orbit; it is not weighted by orbits.  ``accepted`` lists (support, u, s, anum,
+    weight), the candidate's weights being u/s in lowest terms, anum the
+    row-major entries of sum u_k P_k, the candidate matrix times s, and
+    weight the size of the support's orbit.  The clock (``time.time``) is
+    read every ``CLOCK_EVERY`` tried extensions, the prefix counting as
+    the first; once ``deadline`` has passed the walk stops with
+    ``truncated`` set, leaving the pending extension uncounted.
     """
     pos = tables.pos
     agree = tables.agree
+    bit = tables.bit
+    conj_bits = tables.conj_bits
     nperms = len(pos)
     n = len(pos[0])
     on_perms = tables.on_perms
 
     elim = _GramElimination()
     support = []
+    mask = 0
+    images = [0] * (nperms - 1)
     for r in prefix:
         if not elim.push([agree[r][b] for b in support] + [n]):
             raise ValueError(f"shard prefix {tuple(prefix)} is not linearly independent")
         support.append(r)
+        mask |= bit[r]
+        images = list(map(or_, images, conj_bits[r]))
+    if max(images) > mask:
+        raise ValueError(f"shard prefix {tuple(prefix)} is not least in its conjugacy orbit")
     stats = [0, 0, 0, 0]
     accepted = []
+    tried = 0
 
-    def visit() -> None:
-        if stats[0] % CLOCK_EVERY == 0 and deadline is not None:
+    def tick() -> None:
+        nonlocal tried
+        if tried % CLOCK_EVERY == 0 and deadline is not None:
             if time.time() >= deadline:
                 raise _Deadline
-        stats[0] += 1
+        tried += 1
+
+    def visit(weight: int) -> None:
+        stats[0] += weight
         u = elim.weights()
         if min(u) < 0:
-            stats[2] += 1
+            stats[2] += weight
             return
         g = gcd(*u)
         u = [v // g for v in u]
@@ -171,27 +235,33 @@ def run_shard(tables, prefix, max_support: int, deadline: float | None = None):
         entries = iter(on_perms(anum))
         best = max(map(sum, zip(*[entries] * n)))
         if frob == s * best:
-            accepted.append((tuple(support), tuple(u), s, anum))
+            accepted.append((tuple(support), tuple(u), s, anum, weight))
         else:
-            stats[3] += 1
+            stats[3] += weight
 
-    def descend(start: int) -> None:
+    def descend(start: int, mask: int, images: list) -> None:
         for g in range(start, nperms):
+            tick()
+            child = mask | bit[g]
+            grown = list(map(or_, images, conj_bits[g]))
+            if max(grown) > child:
+                continue
             row_g = agree[g]
             if not elim.push([row_g[b] for b in support] + [n]):
                 stats[1] += 1
                 continue
             support.append(g)
-            visit()
+            visit(nperms // (1 + grown.count(child)))
             if len(support) < max_support:
-                descend(g + 1)
+                descend(g + 1, child, grown)
             support.pop()
             elim.pop()
 
     try:
-        visit()
+        tick()
+        visit(nperms // (1 + images.count(mask)))
         if len(support) < max_support:
-            descend(support[-1] + 1)
+            descend(support[-1] + 1, mask, images)
     except _Deadline:
         return tuple(stats), accepted, True
     return tuple(stats), accepted, False

@@ -89,6 +89,23 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_parser_reused_across_calls(r_file, capsys):
+    # main builds its parser once per process; consecutive calls, a usage
+    # error among them, still parse afresh
+    assert main(["verify", r_file]) == 0
+    assert "verdict: Erdos" in capsys.readouterr().out
+    assert main(["enumerate", "-n", "2", "--quiet"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("n=2: 2 classes (complete,")
+    assert "verdict" not in out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: file" in capsys.readouterr().err
+    assert main(["verify", r_file, "--format", "json"]) == 0
+    assert _json_out(capsys)["payload"]["erdos"] is True
+
+
 def test_enumerate_n2_json(capsys):
     assert main(["enumerate", "-n", "2", "--quiet", "--format", "json"]) == 0
     env = _json_out(capsys)

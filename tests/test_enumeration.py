@@ -6,6 +6,7 @@ from math import lcm
 
 import pytest
 
+from erdosmat import kernels
 from erdosmat.assignment import frobenius_sq, is_erdos
 from erdosmat.enumeration import (
     _build_classes,
@@ -167,7 +168,7 @@ def _record_pipeline(collector, tables, ranks):
         x = res.solution.x
         s = lcm(*(v.denominator for v in x))
         anum = [int(e * s) for e in res.matrix.flatten()]
-        collector.record_candidate(ranks, tuple(int(v * s) for v in x), s, anum)
+        collector.record_candidate(ranks, tuple(int(v * s) for v in x), s, anum, 1)
 
 
 def test_engines_agree_n3():
@@ -198,13 +199,15 @@ def test_engines_agree_n3():
 
 def test_build_classes_matches_rowscan_grouping():
     # an n = 4, max_support = 5 collector, grouped once by _build_classes
-    # and once by the row-scan oracle on each raw matrix
+    # and once by the row-scan oracle on each raw matrix; {I} and every
+    # {I, a} come from the rational pipeline, once each, and the walk
+    # shards every least {I, a, b}
     n = 4
     tables = get_tables(n)
     collector = _Collector()
     for ranks in [(0,)] + [(0, a) for a in range(1, 24)]:
         _record_pipeline(collector, tables, ranks)
-    shards = [(0, a, b) for a in range(1, 24) for b in range(a + 1, 24)]
+    shards = [p for p in kernels.least_prefixes(tables, 3) if len(p) == 3]
     counters, raws, truncated = _shard_batch((n, 5, None, shards))
     assert not truncated
     collector.merge_counters(*counters)

@@ -1,86 +1,211 @@
-"""The integer enumeration walk against an independent rational oracle.
+"""The orderly integer walk against an independent rational oracle.
 
 The oracle lists every support that contains the identity with
 ``itertools.combinations``, tests it with ``linalg.linear_independent``
 and runs ``gram.pipeline`` (``Fraction`` arithmetic) on the independent
-ones.  It shares no arithmetic with the walk.
+ones.  It finds each support's conjugacy orbit by brute force, conjugating
+by every s in S_n with ``Permutation`` products, and groups candidates
+into classes with the row-scan canonical form of ``conftest``.  It shares
+no arithmetic with the walk.
 """
 
+import functools
 import itertools
 import time
 from fractions import Fraction
 
 import pytest
 
+from conftest import rowscan_canonical_flatten
 from erdosmat import gram, kernels
 from erdosmat.enumeration import _Collector, get_tables
-from erdosmat.linalg import linear_independent
+from erdosmat.linalg import BistochasticMatrix, linear_independent
 from erdosmat.perms import Permutation
 
 
-def _oracle(n, max_support):
-    """(visited, dependent, negative, maxtr) and the accepted matrices.
+@functools.lru_cache(maxsize=None)
+def _oracle_records(n, max_support):
+    """Every support containing the identity, with its oracle verdicts.
 
-    Accepted matrices map their flattening to [count, least (size,
-    support), weights of that least support].  A support counts as
-    dependent when it is dependent but drops to an independent one
-    without its last element: the walk tries exactly those extensions.
+    Maps the sorted ranks of each support of at most ``max_support``
+    elements to (least, orbit, result): whether the ranks are
+    lexicographically least among the supports conjugate to it, the
+    number of those supports, and the ``gram.pipeline`` result (None for
+    a dependent support).
     """
     perms = [Permutation(p) for p in itertools.permutations(range(n))]
-    stats = [0, 0, 0, 0]
-    found = {}
+    rank = {p: r for r, p in enumerate(perms)}
+    conj = [[rank[s * p * s.inverse()] for p in perms] for s in perms]
+    records = {}
     for size in range(1, max_support + 1):
         for rest in itertools.combinations(range(1, len(perms)), size - 1):
             ranks = (0,) + rest
+            orbit = {tuple(sorted(c[r] for r in ranks)) for c in conj}
             support = [perms[r] for r in ranks]
-            if not linear_independent(support):
-                if linear_independent(support[:-1]):
-                    stats[1] += 1
-                continue
-            stats[0] += 1
-            res = gram.pipeline(support)
-            if res.status == gram.REJECT_NEGATIVE:
-                stats[2] += 1
-            elif res.status == gram.REJECT_MAXTR:
-                stats[3] += 1
-            else:
-                assert res.status == gram.STATUS_OK
-                key = res.matrix.flatten()
-                rep = (size, ranks)
-                entry = found.setdefault(key, [0, rep, res.solution.x])
-                entry[0] += 1
-                if rep < entry[1]:
-                    entry[1:] = [rep, res.solution.x]
-    return tuple(stats), found
+            res = gram.pipeline(support) if linear_independent(support) else None
+            records[ranks] = (min(orbit) == ranks, len(orbit), res)
+    return records
+
+
+# the largest support the tests walk in each dimension: the oracle runs
+# once per dimension at that cap, and smaller caps filter its records
+ORACLE_CAP = {3: 5, 4: 5, 5: 3}
+
+
+def _records(n, max_support):
+    """The oracle records of the supports of at most ``max_support`` elements."""
+    records = _oracle_records(n, ORACLE_CAP[n])
+    return {ranks: rec for ranks, rec in records.items() if len(ranks) <= max_support}
+
+
+def _unpruned(records):
+    """(visited, negative, maxtr) and the classes of the unpruned walk.
+
+    Classes map the row-scan canonical flattening to [sources, least
+    (size, support), weights of that least support].
+    """
+    stats = [0, 0, 0]
+    classes = {}
+    for ranks, (_, _, res) in records.items():
+        if res is None:
+            continue
+        stats[0] += 1
+        if res.status == gram.REJECT_NEGATIVE:
+            stats[1] += 1
+        elif res.status == gram.REJECT_MAXTR:
+            stats[2] += 1
+        else:
+            assert res.status == gram.STATUS_OK
+            key = rowscan_canonical_flatten(res.matrix)
+            rep = (len(ranks), ranks)
+            entry = classes.setdefault(key, [0, rep, res.solution.x])
+            entry[0] += 1
+            if rep < entry[1]:
+                entry[1:] = [rep, res.solution.x]
+    return tuple(stats), classes
+
+
+def _dependent(records):
+    """Dependent supports that are least in their orbit but drop to an
+    independent support without their last element: the extensions the
+    walk tries and rejects as dependent."""
+    return sum(
+        1
+        for ranks, (least, _, res) in records.items()
+        if least and res is None and records[ranks[:-1]][2] is not None
+    )
 
 
 def _walk(n, max_support):
-    """Walk stats and its accepted candidates in the oracle's form."""
+    """Walk stats, accepted {support: weight}, and classes in the oracle's form."""
     tables = get_tables(n)
     stats, accepted, truncated = kernels.run_shard(tables, (0,), max_support)
     assert not truncated
     collector = _Collector()
     for candidate in accepted:
         collector.record_candidate(*candidate)
-    found = {}
+    classes = {}
     for (s, anum), (count, (size, ranks, u, us)) in collector.raws.items():
-        key = tuple(Fraction(a, s) for a in anum)
-        found[key] = [count, (size, ranks), tuple(Fraction(w, us) for w in u)]
-    return stats, found
+        key = rowscan_canonical_flatten(_matrix(n, anum, s))
+        rep = (size, ranks)
+        entry = classes.setdefault(key, [0, rep, tuple(Fraction(w, us) for w in u)])
+        entry[0] += count
+        if rep < entry[1]:
+            entry[1:] = [rep, tuple(Fraction(w, us) for w in u)]
+    weights = {support: weight for support, _, _, _, weight in accepted}
+    assert len(weights) == len(accepted)
+    return stats, weights, classes
+
+
+def _matrix(n, anum, s):
+    return BistochasticMatrix(
+        [[Fraction(anum[i * n + j], s) for j in range(n)] for i in range(n)]
+    )
+
+
+def _check_against_oracle(n, max_support):
+    records = _records(n, max_support)
+    (visited, negative, maxtr), classes = _unpruned(records)
+    stats, weights, walk_classes = _walk(n, max_support)
+    # the weighted counters are the unpruned walk's
+    assert stats == (visited, _dependent(records), negative, maxtr)
+    # accepted supports are the least accepted ones, each weighted by its orbit
+    assert weights == {
+        ranks: orbit
+        for ranks, (least, orbit, res) in records.items()
+        if least and res is not None and res.status == gram.STATUS_OK
+    }
+    # per class: summed sources, least representative and its weights
+    assert walk_classes == classes
+    return stats
 
 
 def test_walk_matches_oracle_n3():
-    stats, found = _walk(3, 5)
+    stats = _check_against_oracle(3, 5)
     assert stats == (31, 0, 0, 0)
-    assert (stats, found) == _oracle(3, 5)
 
 
 def test_walk_matches_oracle_n4_small_support():
     # size-4 supports already give dependent extensions and every
     # rejection reason
-    stats, found = _walk(4, 4)
+    stats = _check_against_oracle(4, 4)
     assert all(stats)
-    assert (stats, found) == _oracle(4, 4)
+
+
+def test_walk_matches_oracle_n4_support_5():
+    assert all(_check_against_oracle(4, 5))
+
+
+def test_walk_matches_oracle_n5_support_3():
+    stats = _check_against_oracle(5, 3)
+    assert stats == (7141, 0, 0, 4980)
+
+
+@pytest.mark.parametrize("n, max_support", [(3, 5), (4, 5), (5, 3)])
+def test_visited_supports_are_the_least_independent_ones(n, max_support):
+    tables = get_tables(n)
+    records = _records(n, max_support)
+    least = sorted((r for r, (is_least, _, _) in records.items() if is_least), key=len)
+    assert kernels.least_prefixes(tables, max_support) == least
+    # a support alone is visited, and weighs its orbit, exactly when it is
+    # independent and least
+    for ranks, (is_least, orbit, res) in records.items():
+        if res is None:
+            continue
+        if is_least:
+            stats, _, _ = kernels.run_shard(tables, ranks, len(ranks))
+            assert stats[0] == orbit == len(tables.pos) // _stabiliser(tables, ranks)
+        else:
+            with pytest.raises(ValueError, match="least in its conjugacy orbit"):
+                kernels.run_shard(tables, ranks, len(ranks))
+
+
+def _stabiliser(tables, ranks):
+    """The conjugations, the identity included, that fix the support."""
+    target = set(ranks)
+    return 1 + sum(1 for table in tables.conj if {table[r] for r in ranks} == target)
+
+
+def test_shard_prefix_counts():
+    # 277 -> 24 prefixes at n = 4, 7,141 -> 90 at n = 5
+    assert len(kernels.least_prefixes(get_tables(4), 3)) == 24
+    assert len(kernels.least_prefixes(get_tables(5), 3)) == 90
+    assert kernels.least_prefixes(get_tables(2), 3) == [(0,), (0, 1)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_conjugation_tables_match_brute_force(n):
+    tables = get_tables(n)
+    perms = list(tables.perms)
+    rank = {p: r for r, p in enumerate(perms)}
+    assert tables.conj == tuple(
+        tuple(rank[s * p * s.inverse()] for p in perms) for s in perms[1:]
+    )
+    nperms = len(perms)
+    assert tables.conj_bits == tuple(
+        tuple(1 << (nperms - 1 - table[r]) for table in tables.conj)
+        for r in range(nperms)
+    )
 
 
 def test_past_deadline_truncates():
@@ -92,9 +217,49 @@ def test_past_deadline_truncates():
     assert stats == (0, 0, 0, 0) and accepted == []
 
 
+def _tries(records, nperms, max_support):
+    """The supports the walk tries, in order: the prefix {I}, then depth
+    first every extension by a larger rank of a visited support with room."""
+    out = [(0,)]
+
+    def grow(ranks):
+        for x in range(ranks[-1] + 1, nperms):
+            child = ranks + (x,)
+            out.append(child)
+            least, _, res = records[child]
+            if least and res is not None and len(child) < max_support:
+                grow(child)
+
+    grow((0,))
+    return out
+
+
+def _counted(records, tried):
+    """(visited, dependent, negative, maxtr) of the walk over ``tried``."""
+    stats = [0, 0, 0, 0]
+    for ranks in tried:
+        least, orbit, res = records[ranks]
+        if not least:
+            continue
+        if res is None:
+            stats[1] += 1
+            continue
+        stats[0] += orbit
+        if res.status == gram.REJECT_NEGATIVE:
+            stats[2] += orbit
+        elif res.status == gram.REJECT_MAXTR:
+            stats[3] += orbit
+    return tuple(stats)
+
+
 def test_clock_read_every_clock_every_nodes(monkeypatch):
-    # the third clock reading is past the deadline: the walk stops after
-    # two full stretches of CLOCK_EVERY nodes
+    # the clock ticks on tried extensions, visited or not: the third
+    # reading is past the deadline, so the walk stops after two full
+    # stretches of CLOCK_EVERY tries and counts exactly those
+    records = _records(3, 5)
+    tried = _tries(records, 6, 5)
+    assert _counted(records, tried) == (31, 0, 0, 0)
+    assert not all(records[ranks][0] for ranks in tried[:8])
     readings = iter([0.0, 0.0, 2.0])
 
     class Clock:
@@ -106,7 +271,7 @@ def test_clock_read_every_clock_every_nodes(monkeypatch):
     monkeypatch.setattr(kernels, "time", Clock)
     stats, _, truncated = kernels.run_shard(get_tables(3), (0,), 5, deadline=1.0)
     assert truncated
-    assert stats[0] == 8
+    assert stats == _counted(records, tried[:8])
 
 
 def test_dependent_prefix_raises():
