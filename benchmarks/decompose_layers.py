@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the Birkhoff layer: ``decompose``, ``reduce_linear`` and the independence test.
+"""Time the Birkhoff layer: parsing, ``decompose``, ``reduce_linear`` and the checks.
 
 Usage, from the root of the repository:
 
@@ -8,12 +8,14 @@ Usage, from the root of the repository:
 
 The plan is seeded: ``sampling.random_bistochastic`` draws matrices of
 sizes 8 to 12 with up to 3n terms each (``PLAN``).  One round runs, on
-every matrix in turn, ``decompose``, then ``reduce_linear`` on its
-output, then ``linear_independent`` and ``affine_independent`` on the
-decomposition's support, and adds up the time of each layer.  A side's
-figure per layer is the median over ``--rounds`` rounds, after one
-untimed warm-up round, in a child process of its own that imports
-``erdosmat`` from the side's ``src`` directory.
+every matrix in turn, ``parse_matrix`` with its bistochastic check on
+the matrix's text, ``decompose``, then ``reduce_linear`` on its output,
+the reconstruction check that ``erdosmat decompose`` makes on that
+(``r.matrix() != a``), then ``linear_independent`` and
+``affine_independent`` on the decomposition's support, and adds up the
+time of each layer.  A side's figure per layer is the median over
+``--rounds`` rounds, after one untimed warm-up round, in a child process
+of its own that imports ``erdosmat`` from the side's ``src`` directory.
 
 With ``--baseline DIR`` (another checkout, such as the parent commit)
 the two sides, ``baseline`` and ``checkout`` (this one), run
@@ -42,33 +44,42 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # (n, count): the decompose workload's sizes, the median one being n = 10
 PLAN = ((8, 2), (9, 2), (10, 6), (11, 2), (12, 2))
-LAYERS = ("decompose", "reduce_linear", "linear_independent", "affine_independent")
+LAYERS = ("parse_matrix", "decompose", "reduce_linear", "reconstruct",
+          "linear_independent", "affine_independent")
 
 
 def one_side(src: str, seed: int, rounds: int) -> dict:
     """Per-layer median seconds per round, in this process, from ``src``."""
     sys.path.insert(0, src)
     from erdosmat import affine_independent, decompose, linear_independent, reduce_linear
+    from erdosmat.linalg import format_matrix, parse_matrix
     from erdosmat.sampling import random_bistochastic
 
     rng = random.Random(seed)
     plan = [random_bistochastic(n, rng, max_terms=3 * n) for n, count in PLAN for _ in range(count)]
+    texts = [format_matrix(a) for a in plan]
     clock = time.perf_counter
 
     def round_times():
         spent = dict.fromkeys(LAYERS, 0.0)
         out = []
-        for a in plan:
+        for text in texts:
             t0 = clock()
-            d = decompose(a)
+            a = parse_matrix(text, bistochastic=True)
             t1 = clock()
-            r = reduce_linear(d)
+            d = decompose(a)
             t2 = clock()
-            linear_independent(d.support)
+            r = reduce_linear(d)
             t3 = clock()
-            affine_independent(d.support)
+            if r.matrix() != a:
+                raise RuntimeError("decomposition failed to reconstruct the input")
             t4 = clock()
-            for layer, dt in zip(LAYERS, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+            linear_independent(d.support)
+            t5 = clock()
+            affine_independent(d.support)
+            t6 = clock()
+            times = (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5)
+            for layer, dt in zip(LAYERS, times):
                 spent[layer] += dt
             out.append((d.to_json(), len(r)))
         return spent, out
@@ -105,7 +116,7 @@ def summary(runs: list) -> dict:
             for r in runs
         )
         q1, med, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-        out[layer] = {"median": round(med, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+        out[layer] = {"median": round(med, 5), "q1": round(q1, 5), "q3": round(q3, 5)}
     return out
 
 

@@ -5,8 +5,12 @@ combination of permutation matrices with the classical greedy loop:
 find a permutation inside the positive support, subtract the minimal
 entry along it, repeat.  The loop runs on integers, the matrix scaled
 once by the least common multiple of its denominators, and takes the
-lexicographically least permutation of the support from one Kuhn
-matching repaired column by column with single augmenting paths.
+lexicographically least permutation of the support.  That matching is
+built once and then carried from round to round: a round only deletes
+the cells it zeroed, and deleting cells can only make the least
+matching lexicographically larger, so once the freed columns are
+re-matched every column before the first one that changed keeps its
+row, and only the later columns are made least again.
 ``reduce_affine`` shrinks a decomposition to an
 affinely independent support (Caratheodory-style exchange steps) and
 ``reduce_linear`` to a linearly independent one.  For permutation
@@ -43,7 +47,6 @@ class ConvexDecomposition:
             raise ValueError("decomposition needs at least one term")
         n = terms[0][1].n
         seen = set()
-        total = Fraction(0)
         for c, p in terms:
             if not isinstance(p, Permutation) or p.n != n:
                 raise ValueError("terms must share one permutation dimension")
@@ -52,9 +55,13 @@ class ConvexDecomposition:
             if p in seen:
                 raise ValueError(f"duplicate permutation {p}")
             seen.add(p)
-            total += c
-        if total != 1:
-            raise ValueError(f"coefficients sum to {format_rational(total)}, expected 1")
+        # summed as integer numerators over the least common denominator
+        scale = lcm(*(c.denominator for c, _ in terms))
+        total = sum(c.numerator * (scale // c.denominator) for c, _ in terms)
+        if total != scale:
+            raise ValueError(
+                f"coefficients sum to {format_rational(Fraction(total, scale))}, expected 1"
+            )
         object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, name, value):
@@ -109,28 +116,35 @@ def decompose(a: BistochasticMatrix) -> ConvexDecomposition:
 
     The work is in integers: A is scaled once by the least common
     multiple of its denominators, the residual stays an integer matrix,
-    and a round updates the positive-support grid only at the n cells it
-    subtracts from.  Coefficients are emitted as ``Fraction(c, scale)``.
-    Each round's permutation comes from ``_lex_min_matching``: one Kuhn
-    matching, then one augmenting-path search per row tried, rather than
-    a full matching from scratch per row tried.
+    and coefficients are emitted as ``Fraction(c, scale)``.  One
+    ``_LexMinMatching`` of the positive support serves every round: a
+    round deletes the cells it zeroed, re-matches the freed columns and
+    makes least only the columns from the first one the repair changed.
+    That is exact because the support only shrinks: the least matching
+    of a subgraph is never lexicographically smaller, so a perfect
+    matching of the new support that keeps the old least one's first
+    columns pins them (see ``_LexMinMatching``).
     """
     n = a.n
     scale = lcm(*(e.denominator for row in a for e in row))
     residual = [[e.numerator * (scale // e.denominator) for e in row] for row in a]
-    allowed = [[e > 0 for e in row] for row in residual]
+    matching = _LexMinMatching([[e > 0 for e in row] for row in residual])
     remaining = scale
     terms = []
     while remaining > 0:
-        images = _lex_min_matching(allowed)
+        images = matching.images
         if images is None:
             raise RuntimeError("no perfect matching in the positive support")
         coef = min(residual[images[j]][j] for j in range(n))
+        zeroed = []
         for j, i in enumerate(images):
-            residual[i][j] -= coef
-            allowed[i][j] = residual[i][j] > 0
+            row = residual[i]
+            row[j] -= coef
+            if row[j] == 0:
+                zeroed.append((i, j))
         remaining -= coef
         terms.append((Fraction(coef, scale), Permutation._unchecked(images)))
+        matching.delete(zeroed)
     if any(e != 0 for row in residual for e in row):
         raise RuntimeError("decomposition left a nonzero residual")
     return ConvexDecomposition(terms)
@@ -190,51 +204,147 @@ def _lex_min_matching(allowed):
     """Lexicographically smallest perfect matching images[j] = row of column j.
 
     ``allowed[i][j]`` says whether row i may serve column j; None when no
-    perfect matching exists.  Kuhn's augmenting paths build one perfect
-    matching.  Then, column by column, rows are tried in ascending order:
-    the current partner is kept, or a smaller free row i is forced onto
-    column j, which displaces the column i served.  Columns before j are
-    fixed, so the displaced column has exactly one place to go, the row
-    column j gave up, and one augmenting-path search among the later
-    columns decides whether i can stay.  By Berge's theorem that search
-    succeeds exactly when the later columns can still all be matched.
+    perfect matching exists.  Built from scratch; ``decompose`` keeps a
+    ``_LexMinMatching`` across its rounds instead.
     """
-    n = len(allowed)
-    rows_of = [[i for i in range(n) if allowed[i][j]] for j in range(n)]
-    images = [None] * n
-    col_of = [None] * n
+    return _LexMinMatching(allowed).images
 
-    def augment(j, first, seen) -> bool:
-        """Match column j, re-matching only columns >= first along the way."""
-        for i in rows_of[j]:
-            if seen[i]:
-                continue
-            seen[i] = True
-            c = col_of[i]
-            if c is None or (c >= first and augment(c, first, seen)):
-                images[j] = i
-                col_of[i] = j
-                return True
+
+class _LexMinMatching:
+    """The lexicographically least perfect matching of a 0/1 grid, kept under deletions.
+
+    ``rows[i]`` has bit j set when row i may serve column j, ``cols[j]``
+    has bit i set for the same cell.  ``images[j]`` is the row of column
+    j and ``col_of[i]`` the column of row i; ``images`` is None once the
+    grid has no perfect matching.
+
+    Built from scratch, Kuhn's augmenting paths find one perfect matching
+    and the lex pass (``_lex_pass``) makes it least from column 0.  After
+    ``delete`` the least matching can only grow: the new grid G' is a
+    subgraph of the old G, so every matching of G' is one of G and
+    ``lexmin(G') >= lexmin(G)``.  So the freed columns are re-matched,
+    first along augmenting paths through the columns ``>= k`` only, k the
+    first freed column, then through every column if that fails; the
+    repaired matching shares its columns before ``j0``, the first column
+    it changed, with ``lexmin(G)``.  Being a matching of G' it is
+    ``>= lexmin(G')``, which is ``>= lexmin(G)``, so ``lexmin(G')`` has
+    that same prefix, and the lex pass runs from ``j0`` only.
+    """
+
+    __slots__ = ("rows", "cols", "images", "col_of")
+
+    def __init__(self, allowed):
+        n = len(allowed)
+        self.rows = [sum(1 << j for j in range(n) if allowed[i][j]) for i in range(n)]
+        self.cols = [sum(1 << i for i in range(n) if allowed[i][j]) for j in range(n)]
+        self.images = [None] * n
+        self.col_of = [None] * n
+        for j in range(n):
+            if not self._augment(j, 0):
+                self.images = None
+                return
+        self._lex_pass(0)
+
+    def delete(self, cells) -> None:
+        """Disallow each cell (i, j) of ``cells`` and restore the least matching."""
+        rows, cols, images, col_of = self.rows, self.cols, self.images, self.col_of
+        for i, j in cells:
+            rows[i] &= ~(1 << j)
+            cols[j] &= ~(1 << i)
+        if images is None:
+            return
+        freed = sorted({j for i, j in cells if images[j] == i})
+        if not freed:
+            return
+        before = list(images)
+        for j in freed:
+            col_of[images[j]] = None
+            images[j] = None
+        k = freed[0]
+        for j in freed:
+            if not (self._augment(j, k) or self._augment(j, 0)):
+                self.images = None
+                return
+        self._lex_pass(next(j for j, i in enumerate(images) if i != before[j]))
+
+    def _augment(self, c0: int, first: int) -> bool:
+        """Match the free column c0, re-matching only columns >= ``first``.
+
+        A breadth-first search over alternating paths from c0; when one
+        reaches a free row, every column on it moves to the row it
+        reached, and c0 is matched.  False, with nothing changed, when no
+        such path exists.
+        """
+        cols, images, col_of = self.cols, self.images, self.col_of
+        seen = 0
+        via = {}  # matched row -> the column that reached it
+        queue = [c0]
+        for c in queue:
+            hit = cols[c] & ~seen
+            seen |= hit
+            while hit:
+                low = hit & -hit
+                hit ^= low
+                i = low.bit_length() - 1
+                d = col_of[i]
+                if d is None:
+                    while True:
+                        images[c], i = i, images[c]
+                        col_of[images[c]] = c
+                        if c == c0:
+                            return True
+                        c = via[i]
+                if d >= first:
+                    via[i] = c
+                    queue.append(d)
         return False
 
-    for j in range(n):
-        if not augment(j, 0, [False] * n):
-            return None
-    for j in range(n):
-        for i in rows_of[j]:
-            c = col_of[i]
-            if c == j:
-                break
-            if c < j:
-                continue
+    def _lex_pass(self, j0: int) -> None:
+        """Make columns j0.. least in turn, columns before j0 being least already.
+
+        Column j holds row r and may take a smaller row i exactly when the
+        later columns can still be matched without i, that is (Berge) when
+        an alternating path leads from i's column to r: each column on it
+        takes the row after it.  One reverse search from r finds every
+        row that can reach r through columns ``> j``, stopping once it
+        reaches the least row column j may take; the least reached row
+        allowed in column j is then taken, and the path rotated along its
+        parent links.
+        """
+        rows, cols, images, col_of = self.rows, self.cols, self.images, self.col_of
+        n = len(images)
+        fixed = 0
+        for j in range(j0):
+            fixed |= 1 << images[j]
+        for j in range(j0, n):
             r = images[j]
-            col_of[r] = None
-            images[j] = i
-            col_of[i] = j
-            if augment(c, j + 1, [False] * n):
-                break
-            images[c] = i
-            col_of[i] = c
-            images[j] = r
-            col_of[r] = j
-    return images
+            free = cols[j] & ~fixed
+            least = free & -free
+            if least != 1 << r:
+                later = ((1 << n) - 1) ^ ((2 << j) - 1)
+                parent = {}  # row -> (its column, the row that column can take)
+                reach = 1 << r
+                queue = [r]
+                for x in queue:
+                    hit = rows[x] & later
+                    later ^= hit
+                    while hit:
+                        low = hit & -hit
+                        hit ^= low
+                        c = low.bit_length() - 1
+                        i = images[c]
+                        parent[i] = (c, x)
+                        reach |= 1 << i
+                        queue.append(i)
+                    if reach & least:
+                        break
+                best = free & reach
+                i = (best & -best).bit_length() - 1
+                c = j
+                while True:
+                    images[c] = i
+                    col_of[i] = c
+                    if i == r:
+                        break
+                    c, i = parent[i]
+            fixed |= 1 << images[j]

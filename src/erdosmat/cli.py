@@ -195,7 +195,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    budget = _parse_duration(args.budget) if args.budget else None
+    budget = _parse_duration(args.budget) if args.budget is not None else None
 
     progress = None
     if not args.quiet:

@@ -130,15 +130,34 @@ class _Tables:
         )
         self.on_perms = operator.itemgetter(*[j for p in self.pos for j in p])
         images = [p.images for p in self.perms]
-        self.agree = tuple(
-            tuple(sum(map(operator.eq, a, b)) for b in images) for a in images
-        )
+        self.agree = _agreement_table(images)
         self.conj = _conjugation_tables(images)
         nperms = len(images)
         self.bit = tuple(1 << (nperms - 1 - r) for r in range(nperms))
         self.conj_bits = tuple(
             tuple(map(self.bit.__getitem__, col)) for col in zip(*self.conj)
         )
+
+
+def _agreement_table(images) -> tuple:
+    """``agree[a][b]``, the number of points where permutations a and b agree.
+
+    a and b agree at i exactly when i is a fixed point of ``a^-1 b``, so
+    row a is ``fix[L_a[b]]``, with ``fix[r]`` the fixed-point count of
+    rank r and ``L_a[b]`` the rank of ``a^-1 b``: one ``itemgetter`` call
+    per row.  ``L_{s t}[b] = T_t[L_s[b]]`` with ``T_t[r]`` the rank of
+    ``t p_r``, so the ``L`` tables are composed breadth first from the
+    n - 1 adjacent transpositions t.
+    """
+    n = len(images[0])
+    rank = {p: r for r, p in enumerate(images)}
+    fix = [sum(p[i] == i for i in range(n)) for p in images]
+    steps = []
+    for k in range(n - 1):
+        t = _adjacent_transposition(n, k)
+        step = tuple(rank[tuple(t[i] for i in p)] for p in images)
+        steps.append((k, lambda table, step=step: operator.itemgetter(*table)(step)))
+    return tuple(operator.itemgetter(*table)(fix) for table in _over_group(images, steps))
 
 
 def _conjugation_tables(images) -> tuple:
@@ -154,24 +173,40 @@ def _conjugation_tables(images) -> tuple:
     rank = {p: r for r, p in enumerate(images)}
     steps = []
     for k in range(n - 1):
-        t = list(range(n))
-        t[k], t[k + 1] = k + 1, k
+        t = _adjacent_transposition(n, k)
         table = [rank[tuple(t[p[t[i]]] for i in range(n))] for p in images]
         steps.append((k, operator.itemgetter(*table)))
+    return _over_group(images, steps)[1:]
+
+
+def _adjacent_transposition(n: int, k: int) -> list:
+    t = list(range(n))
+    t[k], t[k + 1] = k + 1, k
+    return t
+
+
+def _over_group(images, steps) -> tuple:
+    """One table per permutation s of ``images`` (S_n in rank order), by rank of s.
+
+    The identity's table is ``range(n!)``.  ``steps`` lists ``(k, step)``
+    for the adjacent transpositions t = (k k+1), ``step`` mapping the
+    table of s to that of ``s t``; the group is reached from the identity
+    breadth first.
+    """
     tables = {images[0]: tuple(range(len(images)))}
     frontier = [images[0]]
     while frontier:
         grown = []
         for s in frontier:
-            for k, after in steps:
+            for k, step in steps:
                 st = list(s)
                 st[k], st[k + 1] = st[k + 1], st[k]
                 st = tuple(st)
                 if st not in tables:
-                    tables[st] = after(tables[s])
+                    tables[st] = step(tables[s])
                     grown.append(st)
         frontier = grown
-    return tuple(tables[s] for s in images[1:])
+    return tuple(tables[s] for s in images)
 
 
 _tables_cache: dict = {}
@@ -299,7 +334,7 @@ def _shard_batch(args):
     {I, a, b} shard walks its supersets up to ``max_support`` elements.
     ``deadline`` is wall-clock (time.time) so it stays meaningful across
     worker processes; the walk reads it at the start of every shard and
-    every ``kernels.CLOCK_EVERY`` tried extensions within one.
+    every ``max(1, kernels.CLOCK_WORK // n!)`` tried extensions within one.
     """
     n, max_support, deadline, prefixes = args
     tables = get_tables(n)
@@ -334,14 +369,15 @@ def enumerate_erdos(
     classes still verified.  ``workers`` processes walk the shards.
 
     Budget slack: the clock is read at the start of every shard and every
-    ``kernels.CLOCK_EVERY`` (1,024) tried extensions inside one, visited
-    or not, so the search stops at most that many extensions past the
-    deadline: on a 2-core machine one such stretch took up to 0.05 s at
-    n = 4, 0.13 s at n = 5 and 0.29 s at n = 6.  Building the classes
-    after the search (one canonical order per distinct matrix found, about
+    ``max(1, kernels.CLOCK_WORK // n!)`` tried extensions inside one
+    (1,024 at n = 4, 204 at n = 5, 34 at n = 6), visited or not, so the
+    search stops at most that many extensions past the deadline: on a
+    2-core machine the longest such stretch took 0.02 to 0.06 s at n = 4,
+    0.013 s at n = 5 and 0.008 s at n = 6.  Building the classes after
+    the search (one canonical order per distinct matrix found, about
     0.08 ms each at n = 5 and 0.35 ms at n = 6) is not cut short and comes
     on top; at n = 6 a 2 s budget finds about 15 distinct matrices, so the
-    run returns after 2.1 to 2.3 s.
+    run returns after about 2.02 s.
     """
     if not 2 <= n <= CANON_CAP:
         raise ValueError(f"enumeration supports 2 <= n <= {CANON_CAP}, got {n}")

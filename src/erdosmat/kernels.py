@@ -31,8 +31,10 @@ import time
 from math import gcd
 from operator import or_
 
-# the clock is read once per this many tried extensions
-CLOCK_EVERY = 1024
+# the clock is read once per max(1, CLOCK_WORK // n!) tried extensions:
+# each try ORs n! - 1 image masks, so the stride keeps the work between
+# two reads about level across dimensions (1,024 tries at n = 4)
+CLOCK_WORK = 24 * 1024
 
 
 class _Deadline(Exception):
@@ -183,9 +185,9 @@ def run_shard(tables, prefix, max_support: int, deadline: float | None = None):
     weight), the candidate's weights being u/s in lowest terms, anum the
     row-major entries of sum u_k P_k, the candidate matrix times s, and
     weight the size of the support's orbit.  The clock (``time.time``) is
-    read every ``CLOCK_EVERY`` tried extensions, the prefix counting as
-    the first; once ``deadline`` has passed the walk stops with
-    ``truncated`` set, leaving the pending extension uncounted.
+    read every ``max(1, CLOCK_WORK // n!)`` tried extensions, the prefix
+    counting as the first; once ``deadline`` has passed the walk stops
+    with ``truncated`` set, leaving the pending extension uncounted.
     """
     pos = tables.pos
     agree = tables.agree
@@ -210,10 +212,11 @@ def run_shard(tables, prefix, max_support: int, deadline: float | None = None):
     stats = [0, 0, 0, 0]
     accepted = []
     tried = 0
+    every = max(1, CLOCK_WORK // nperms)
 
     def tick() -> None:
         nonlocal tried
-        if tried % CLOCK_EVERY == 0 and deadline is not None:
+        if tried % every == 0 and deadline is not None:
             if time.time() >= deadline:
                 raise _Deadline
         tried += 1

@@ -131,31 +131,36 @@ class Matrix:
 
 
 class BistochasticMatrix(Matrix):
-    """Square nonnegative matrix whose rows and columns each sum to 1."""
+    """Square nonnegative matrix whose rows and columns each sum to 1.
+
+    The checks run on the integer numerators of the entries over their
+    least common denominator.
+    """
 
     def __init__(self, rows):
         super().__init__(rows)
         n = self.nrows
         if self.ncols != n:
             raise NotBistochasticError(f"matrix is {n}x{self.ncols}, not square")
-        one = Fraction(1)
-        for i, row in enumerate(self._rows):
-            for j, e in enumerate(row):
-                if e < 0:
-                    raise NotBistochasticError(
-                        f"negative entry {format_rational(e)} at row {i + 1}, column {j + 1}"
-                    )
+        # a Fraction is built only for an error message
+        scale = lcm(*(e.denominator for row in self._rows for e in row))
+        nums = [[e.numerator * (scale // e.denominator) for e in row] for row in self._rows]
+        for i, row in enumerate(nums):
+            if min(row) < 0:
+                j = next(j for j, e in enumerate(row) if e < 0)
+                raise NotBistochasticError(
+                    f"negative entry {format_rational(self._rows[i][j])} "
+                    f"at row {i + 1}, column {j + 1}"
+                )
             total = sum(row)
-            if total != one:
-                raise NotBistochasticError(
-                    f"row {i + 1} sums to {format_rational(total)}, expected 1"
-                )
-        for j in range(n):
-            total = sum(self._rows[i][j] for i in range(n))
-            if total != one:
-                raise NotBistochasticError(
-                    f"column {j + 1} sums to {format_rational(total)}, expected 1"
-                )
+            if total != scale:
+                total = format_rational(Fraction(total, scale))
+                raise NotBistochasticError(f"row {i + 1} sums to {total}, expected 1")
+        for j, col in enumerate(zip(*nums)):
+            total = sum(col)
+            if total != scale:
+                total = format_rational(Fraction(total, scale))
+                raise NotBistochasticError(f"column {j + 1} sums to {total}, expected 1")
 
     @property
     def n(self) -> int:

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from erdosmat import birkhoff
 from erdosmat.birkhoff import (
     ConvexDecomposition,
     _lex_min_matching,
+    _LexMinMatching,
     decompose,
     reduce_affine,
     reduce_linear,
@@ -73,6 +75,69 @@ def test_lex_min_matching_matches_oracle():
                 found[images is None] += 1
     # both grids with and without a perfect matching are covered
     assert min(found.values()) > 100
+
+
+def test_warm_matching_matches_oracle_after_every_deletion():
+    rng = random.Random(83)
+    checks = {"repaired": 0, "lost": 0}
+    for n in range(1, 9):
+        for density in (0.4, 0.6, 0.8, 1.0):
+            for _ in range(20):
+                allowed = [[rng.random() < density for _ in range(n)] for _ in range(n)]
+                m = _LexMinMatching(allowed)
+                assert m.images == oracle_lex_min_matching(allowed)
+                while True:
+                    cells = [(i, j) for i in range(n) for j in range(n) if allowed[i][j]]
+                    if not cells:
+                        break
+                    # half the time some cells of the matching itself, as
+                    # the greedy loop deletes, else any allowed cells
+                    if m.images is not None and rng.random() < 0.5:
+                        cells = [(i, j) for j, i in enumerate(m.images)]
+                    gone = rng.sample(cells, rng.randint(1, min(3, len(cells))))
+                    had = m.images is not None
+                    for i, j in gone:
+                        allowed[i][j] = False
+                    m.delete(gone)
+                    assert m.images == oracle_lex_min_matching(allowed)
+                    assert m.rows == [
+                        sum(1 << j for j in range(n) if allowed[i][j]) for i in range(n)
+                    ]
+                    assert m.cols == [
+                        sum(1 << i for i in range(n) if allowed[i][j]) for j in range(n)
+                    ]
+                    if m.images is not None:
+                        assert all(m.col_of[i] == j for j, i in enumerate(m.images))
+                        checks["repaired"] += 1
+                    elif had:
+                        checks["lost"] += 1
+    assert checks["repaired"] > 1500 and checks["lost"] > 300
+
+
+def test_greedy_rounds_change_the_prefix_before_the_first_zeroed_column(monkeypatch):
+    # the least matching after a round may differ from the last one
+    # before the first zeroed column k, so the repair must not keep the
+    # columns before k
+    rounds = []
+    delete = _LexMinMatching.delete
+
+    def recording(self, cells):
+        before = list(self.images)
+        delete(self, cells)
+        if self.images is not None:
+            k = min(j for _, j in cells)
+            j0 = next(j for j, i in enumerate(self.images) if i != before[j])
+            rounds.append((j0, k))
+
+    monkeypatch.setattr(birkhoff._LexMinMatching, "delete", recording)
+    rng = random.Random(89)
+    for n in (8, 10, 12):
+        for _ in range(3):
+            a = random_bistochastic(n, rng, max_terms=3 * n)
+            assert decompose(a).terms == oracle_decompose(a)
+    assert all(j0 <= k for j0, k in rounds)
+    early = sum(j0 < k for j0, k in rounds)
+    assert 0 < early < len(rounds)
 
 
 def test_decompose_matches_oracle():
@@ -158,6 +223,15 @@ def test_validation_errors():
         ConvexDecomposition([(0, p), (1, q)])
     with pytest.raises(ValueError, match="sum to"):
         ConvexDecomposition([(F(1, 2), p)])
+    with pytest.raises(ValueError) as err:
+        ConvexDecomposition([(F(1, 2), p), (F(1, 3), q)])
+    assert str(err.value) == "coefficients sum to 5/6, expected 1"
+    with pytest.raises(ValueError) as err:
+        ConvexDecomposition([(F(1, 1_000_003), p), (F(1, 999_983), q)])
+    assert str(err.value) == "coefficients sum to 1999986/999985999949, expected 1"
+    with pytest.raises(ValueError) as err:
+        ConvexDecomposition([(F(1, 2), p), (F(1, 2), q), (F(-1, 10**12 + 39), p)])
+    assert str(err.value) == "coefficient -1/1000000000039 is not positive"
     with pytest.raises(ValueError, match="duplicate"):
         ConvexDecomposition([(F(1, 2), p), (F(1, 2), p)])
     with pytest.raises(ValueError, match="dimension"):

@@ -122,6 +122,11 @@ def test_enumerate_bad_n(capsys):
 
 def test_enumerate_bad_budget(capsys):
     assert main(["enumerate", "-n", "2", "--budget", "tomorrow", "--quiet"]) == 2
+    assert "malformed duration 'tomorrow'" in capsys.readouterr().err
+    # an empty or blank duration is malformed, not "no budget"
+    for budget in ("", "  "):
+        assert main(["enumerate", "-n", "2", "--budget", budget, "--quiet"]) == 2
+        assert "malformed duration ''" in capsys.readouterr().err
     for budget in ("nan", "0s"):
         assert main(["enumerate", "-n", "2", "--budget", budget, "--quiet"]) == 2
         assert "budget must be positive" in capsys.readouterr().err

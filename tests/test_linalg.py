@@ -24,6 +24,7 @@ from erdosmat.linalg import (
     solve_tall,
 )
 from erdosmat.perms import Permutation, all_permutations
+from erdosmat.rational import format_rational
 from erdosmat.sampling import random_bistochastic
 
 from conftest import naive_rank, unpeeled_independent
@@ -274,6 +275,74 @@ def test_bistochastic_validation():
         BistochasticMatrix([[F(-1, 2), F(3, 2)], [F(3, 2), F(-1, 2)]])
     with pytest.raises(NotBistochasticError, match="not square"):
         BistochasticMatrix([[1, 0]])
+
+
+def _oracle_bistochastic_error(rows):
+    """The first bistochastic error message, from Fraction sums (oracle)."""
+    n = len(rows)
+    if len(rows[0]) != n:
+        return f"matrix is {n}x{len(rows[0])}, not square"
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            if e < 0:
+                return f"negative entry {format_rational(e)} at row {i + 1}, column {j + 1}"
+        total = sum(row, F(0))
+        if total != 1:
+            return f"row {i + 1} sums to {format_rational(total)}, expected 1"
+    for j in range(n):
+        total = sum((row[j] for row in rows), F(0))
+        if total != 1:
+            return f"column {j + 1} sums to {format_rational(total)}, expected 1"
+    return None
+
+
+def _bistochastic_error(rows):
+    try:
+        BistochasticMatrix(rows)
+    except NotBistochasticError as exc:
+        return str(exc)
+    return None
+
+
+def test_bistochastic_error_messages_word_for_word():
+    p, q = 1_000_003, 999_983
+    cases = {
+        "row 2 sums to 9/10, expected 1": [[F(1, 2), F(1, 2)], [F(2, 5), F(1, 2)]],
+        "column 1 sums to 9/10, expected 1": [[F(2, 5), F(3, 5)], [F(1, 2), F(1, 2)]],
+        "negative entry -1/2 at row 1, column 1": [
+            [F(-1, 2), F(3, 2)], [F(3, 2), F(-1, 2)]],
+        "matrix is 1x2, not square": [[1, 0]],
+        # large coprime denominators: the scale is their product
+        f"row 1 sums to {p + q}/{p * q}, expected 1": [[F(1, p), F(1, q)], [1, 0]],
+        f"negative entry -1/{q} at row 2, column 2": [
+            [F(1, p), 1 - F(1, p)], [1 - F(1, p) + F(1, q), F(-1, q)]],
+        f"column 1 sums to {p * q + q - p}/{p * q}, expected 1": [
+            [F(1, p), 1 - F(1, p)], [1 - F(1, q), F(1, q)]],
+    }
+    for message, rows in cases.items():
+        assert _bistochastic_error(rows) == message
+        assert _oracle_bistochastic_error(rows) == message
+
+
+def test_bistochastic_errors_match_fraction_oracle():
+    rng = random.Random(97)
+    primes = (1_000_003, 999_983, 1_000_033, 998_244_353, 1_000_000_007)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = [list(row) for row in random_bistochastic(n, rng)]
+        for _ in range(rng.randint(0, 2)):
+            # a shift of one entry, or one moved within its row (which
+            # keeps the row sums and breaks two columns)
+            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            x = rng.choice((-1, 1)) * F(rng.randint(1, 3), rng.choice(primes))
+            rows[i][j] += x
+            if rng.random() < 0.5:
+                rows[i][k] -= x
+        message = _oracle_bistochastic_error(rows)
+        assert _bistochastic_error(rows) == message
+        seen.add(message.split()[0] if message else None)
+    assert seen == {None, "negative", "row", "column"}
 
 
 def test_matrix_basics():

@@ -208,6 +208,15 @@ def test_conjugation_tables_match_brute_force(n):
     )
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_agreement_table_matches_pairwise_count(n):
+    tables = get_tables(n)
+    images = [p.images for p in tables.perms]
+    assert tables.agree == tuple(
+        tuple(sum(x == y for x, y in zip(a, b)) for b in images) for a in images
+    )
+
+
 def test_past_deadline_truncates():
     tables = get_tables(3)
     stats, accepted, truncated = kernels.run_shard(
@@ -255,7 +264,7 @@ def _counted(records, tried):
 def test_clock_read_every_clock_every_nodes(monkeypatch):
     # the clock ticks on tried extensions, visited or not: the third
     # reading is past the deadline, so the walk stops after two full
-    # stretches of CLOCK_EVERY tries and counts exactly those
+    # stretches of CLOCK_WORK // n! tries and counts exactly those
     records = _records(3, 5)
     tried = _tries(records, 6, 5)
     assert _counted(records, tried) == (31, 0, 0, 0)
@@ -267,11 +276,31 @@ def test_clock_read_every_clock_every_nodes(monkeypatch):
         def time():
             return next(readings)
 
-    monkeypatch.setattr(kernels, "CLOCK_EVERY", 4)
+    monkeypatch.setattr(kernels, "CLOCK_WORK", 24)  # 24 // 3! = 4 tries
     monkeypatch.setattr(kernels, "time", Clock)
     stats, _, truncated = kernels.run_shard(get_tables(3), (0,), 5, deadline=1.0)
     assert truncated
     assert stats == _counted(records, tried[:8])
+
+
+def test_clock_stride_follows_the_dimension(monkeypatch):
+    # from {I} with cap 2 the walk tries the prefix and all n! - 1
+    # extensions; the clock is read on tries 0, m, 2m, ... with
+    # m = CLOCK_WORK // n! (1,024 at n = 4, 34 at n = 6)
+    reads = []
+
+    class Clock:
+        @staticmethod
+        def time():
+            reads.append(None)
+            return 0.0
+
+    monkeypatch.setattr(kernels, "time", Clock)
+    for n, expected in ((4, 1), (5, 1), (6, 22)):
+        reads.clear()
+        _, _, truncated = kernels.run_shard(get_tables(n), (0,), 2, deadline=1.0)
+        assert not truncated
+        assert len(reads) == expected
 
 
 def test_dependent_prefix_raises():
