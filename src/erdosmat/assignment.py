@@ -8,14 +8,16 @@ optimum.  For bistochastic A it dominates the squared Frobenius norm
 Witnesses are reported as the permutations whose matrices attain the
 value, i.e. p with sum_j A[p(j), j] equal to the maximal trace.
 
-The value comes from one exact integer routine.  A is scaled by the
-least common multiple of its denominators to an integer matrix W, and
-Kuhn-Munkres runs on W over Python ints.  It returns an optimal
-assignment and dual potentials u (rows) and v (columns).  Before the
-result is used the dual certificate is checked: u_i + v_j >= W_ij for
-every i, j, and sum(u) + sum(v) equals the assignment's value.  By weak
-duality no permutation then exceeds that value, so the answer is proven
-rather than trusted; a failed check raises ``ArithmeticError``.
+Both sides of the comparison are read off the matrix's integer
+numerators W over its scale s, the least common multiple of its
+denominators, with one ``Fraction`` per result.  The squared Frobenius
+norm is sum W_ij^2 / s^2.  The maximal trace comes from one exact
+integer routine: Kuhn-Munkres runs on W over Python ints and returns
+an optimal assignment and dual potentials u (rows) and v (columns).
+Before the result is used the dual certificate is checked: u_i + v_j >=
+W_ij for every i, j, and sum(u) + sum(v) equals the assignment's value.
+By weak duality no permutation then exceeds that value, so the answer is
+proven rather than trusted; a failed check raises ``ArithmeticError``.
 
 By complementary slackness a permutation attains the maximal trace
 exactly when every one of its edges is tight (u_i + v_j = W_ij), so the
@@ -37,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
 
 from .linalg import BistochasticMatrix, Matrix
 from .perms import Permutation
@@ -66,8 +67,8 @@ class MaxTraceCertificate:
 
 
 def frobenius_sq(a: Matrix) -> Fraction:
-    """Exact sum of squared entries."""
-    return sum((e * e for row in a for e in row), Fraction(0))
+    """Exact sum of squared entries: one integer sum over ``scale**2``."""
+    return Fraction(sum(v * v for row in a.numerators for v in row), a.scale ** 2)
 
 
 def max_trace(a: Matrix, method: str = "auto") -> MaxTraceCertificate:
@@ -92,10 +93,9 @@ def max_trace(a: Matrix, method: str = "auto") -> MaxTraceCertificate:
         return MaxTraceCertificate(value, witnesses, True, "brute")
     if method not in ("auto", "hungarian"):
         raise ValueError(f"unknown method {method!r}")
-    scale = lcm(*(e.denominator for row in a for e in row))
-    w = [[e.numerator * (scale // e.denominator) for e in row] for row in a]
+    w = a.numerators
     images, u, v = _kuhn_munkres(w)
-    value = Fraction(_certify(w, images, u, v), scale)
+    value = Fraction(_certify(w, images, u, v), a.scale)
     if method == "auto" and n <= BRUTE_CAP:
         witnesses = tuple(map(Permutation._unchecked, _tight_matchings(w, u, v)))
         return MaxTraceCertificate(value, witnesses, True, "hungarian-tight")
@@ -123,10 +123,8 @@ def max_delta_matrix(n: int) -> BistochasticMatrix:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    off = Fraction(1, 2 * n)
-    diag = Fraction(n + 1, 2 * n)
-    return BistochasticMatrix(
-        [[diag if i == j else off for j in range(n)] for i in range(n)]
+    return BistochasticMatrix._from_numerators(
+        2 * n, [[n + 1 if i == j else 1 for j in range(n)] for i in range(n)]
     )
 
 

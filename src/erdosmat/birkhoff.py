@@ -3,12 +3,12 @@
 ``decompose`` writes a bistochastic matrix as an exact convex
 combination of permutation matrices with the classical greedy loop:
 find a permutation inside the positive support, subtract the minimal
-entry along it, repeat.  The loop runs on integers, the matrix scaled
-once by the least common multiple of its denominators, and takes the
-lexicographically least permutation of the support.  That matching is
-built once and then carried from round to round: a round only deletes
-the cells it zeroed, and deleting cells can only make the least
-matching lexicographically larger, so once the freed columns are
+entry along it, repeat.  The loop runs on the matrix's integer
+numerators over the least common multiple of its denominators, and
+takes the lexicographically least permutation of the support.  That
+matching is built once and then carried from round to round: a round
+only deletes the cells it zeroed, and deleting cells can only make the
+least matching lexicographically larger, so once the freed columns are
 re-matched every column before the first one that changed keeps its
 row, and only the later columns are made least again.
 ``reduce_affine`` shrinks a decomposition to an
@@ -114,10 +114,10 @@ def decompose(a: BistochasticMatrix) -> ConvexDecomposition:
     reproducible.  A permutation matrix decomposes as itself; every round
     zeroes at least one entry, so there are at most (n-1)^2 + 1 terms.
 
-    The work is in integers: A is scaled once by the least common
-    multiple of its denominators, the residual stays an integer matrix,
-    and coefficients are emitted as ``Fraction(c, scale)``.  One
-    ``_LexMinMatching`` of the positive support serves every round: a
+    The work is in integers: the residual starts as A's numerators over
+    its scale, the least common multiple of its denominators, and stays
+    an integer matrix; coefficients are emitted as ``Fraction(c, scale)``.
+    One ``_LexMinMatching`` of the positive support serves every round: a
     round deletes the cells it zeroed, re-matches the freed columns and
     makes least only the columns from the first one the repair changed.
     That is exact because the support only shrinks: the least matching
@@ -126,8 +126,8 @@ def decompose(a: BistochasticMatrix) -> ConvexDecomposition:
     columns pins them (see ``_LexMinMatching``).
     """
     n = a.n
-    scale = lcm(*(e.denominator for row in a for e in row))
-    residual = [[e.numerator * (scale // e.denominator) for e in row] for row in a]
+    scale = a.scale
+    residual = [list(row) for row in a.numerators]
     matching = _LexMinMatching([[e > 0 for e in row] for row in residual])
     remaining = scale
     terms = []
@@ -189,12 +189,11 @@ def reduce_linear(d: ConvexDecomposition) -> ConvexDecomposition:
 def _affine_dependency(support):
     """A nonzero coefficient vector with zero sum annihilating the support."""
     n = support[0].n
-    rows = [[Fraction(0)] * len(support) for _ in range(n * n + 1)]
+    rows = [[0] * len(support) for _ in range(n * n)] + [[1] * len(support)]
     for k, p in enumerate(support):
         for j, i in enumerate(p.images):
-            rows[i * n + j][k] = Fraction(1)
-        rows[n * n][k] = Fraction(1)
-    beta = kernel_vector(Matrix(rows))
+            rows[i * n + j][k] = 1
+    beta = kernel_vector(Matrix._from_numerators(1, rows))
     if beta is None:
         raise RuntimeError("affinely dependent support has no dependency vector")
     return list(beta)

@@ -222,8 +222,8 @@ def canonical_form(a: BistochasticMatrix) -> BistochasticMatrix:
     """The lexicographically least row-major flattening of PAQ over all P, Q.
 
     Two matrices are equivalent exactly when their canonical forms are
-    equal.  Entries are coded by the rank of their exact value and the
-    least order is found by ``_canonical_order``.
+    equal.  Entries are coded by the rank of their integer numerator over
+    the matrix's scale and the least order is found by ``_canonical_order``.
 
     Why a row-by-row search is exact: for a fixed row order the least
     column order sorts the columns as vectors, and sorting columns by
@@ -237,10 +237,11 @@ def canonical_form(a: BistochasticMatrix) -> BistochasticMatrix:
         raise ValueError("canonical form requires a square matrix")
     if n > CANON_CAP:
         raise ValueError(f"canonical form is capped at n={CANON_CAP}, got {n}")
-    values = sorted(set(a.flatten()))
+    nums = a.numerators
+    values = sorted({v for row in nums for v in row})
     code = {v: k for k, v in enumerate(values)}
-    rp, cols = _canonical_order([[code[e] for e in row] for row in a])
-    return BistochasticMatrix([[a[r][c] for c in cols] for r in rp])
+    rp, cols = _canonical_order([[code[v] for v in row] for row in nums])
+    return BistochasticMatrix._from_numerators(a.scale, [[nums[r][c] for c in cols] for r in rp])
 
 
 def _canonical_order(rows) -> tuple:
@@ -460,6 +461,12 @@ def _build_classes(tables: _Tables, collector: _Collector) -> list:
     every numerator, so s is the LCM of its denominators and equivalent
     matrices share it; the canonical order of the integer rows of anum
     then identifies the class without building any ``Fraction``.
+
+    Each class matrix is built from its numerators and re-checked
+    independently of the walk: a fresh ``gram.pipeline`` on its support
+    (a ``linalg`` elimination and a certified Hungarian optimum, not the
+    walk's incremental Bareiss and brute maximum), its canonical form, the
+    Erdos verdict, and ``value == frob == common value``.
     """
     n = tables.n
     grouped: dict = {}
@@ -470,8 +477,8 @@ def _build_classes(tables: _Tables, collector: _Collector) -> list:
 
     classes = []
     for (s, flat), (sources, rep) in grouped.items():
-        canon = BistochasticMatrix(
-            [[Fraction(v, s) for v in flat[i * n:(i + 1) * n]] for i in range(n)]
+        canon = BistochasticMatrix._from_numerators(
+            s, [flat[i * n:(i + 1) * n] for i in range(n)]
         )
         _, support_ranks, _, _ = rep
         support = tuple(tables.perms[r] for r in support_ranks)

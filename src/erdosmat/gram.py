@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 
 from .assignment import MaxTraceCertificate, is_erdos
-from .linalg import BistochasticMatrix, Matrix, linear_independent, solve
+from .linalg import BistochasticMatrix, linear_independent, solve_integer
 from .perms import Permutation, agreement_count, conjugacy_class_reps
 from .rational import format_rational
 
@@ -99,27 +100,23 @@ def build_gram(perms) -> GramSystem:
 
 
 def solve_candidate(g: GramSystem) -> CandidateSolution:
-    """The unique normalized solution of M x = <Mx, x> 1 for an independent set."""
+    """The unique normalized solution of M x = <Mx, x> 1 for an independent set.
+
+    M u = d 1 is solved in integers (``linalg.solve_integer``, d > 0), so
+    x = u / sum(u) and <Mx, x> = d / sum(u); ``M u == d 1`` is checked on
+    the integers before any ``Fraction`` is built.
+    """
     if g.independence != INDEP_LINEAR:
         raise ValueError("collection is not linearly independent")
     gram_rows = g.gram
-    m = len(gram_rows)
-    y = solve(Matrix(gram_rows), [1] * m)
-    s = sum(y)
+    d, u = solve_integer(gram_rows, [1] * len(gram_rows))
+    if any(sum(map(mul, row, u)) != d for row in gram_rows):
+        raise RuntimeError("internal consistency fault: Mx is not constant")
+    s = sum(u)
     if s <= 0:
         raise RuntimeError("Gram system of an independent set must be positive definite")
-    x = tuple(v / s for v in y)
-    common = sum(
-        (sum(gram_rows[i][j] * x[j] for j in range(m)) * x[i] for i in range(m)),
-        Fraction(0),
-    )
-    for i in range(m):
-        mx_i = sum(gram_rows[i][j] * x[j] for j in range(m))
-        if mx_i != common:
-            raise RuntimeError("internal consistency fault: Mx is not constant")
-    if sum(x) != 1:
-        raise RuntimeError("internal consistency fault: coordinates do not sum to 1")
-    return CandidateSolution(x, common, all(v >= 0 for v in x))
+    x = tuple(Fraction(v, s) for v in u)
+    return CandidateSolution(x, Fraction(d, s), all(v >= 0 for v in u))
 
 
 def assemble(g: GramSystem, sol: CandidateSolution) -> BistochasticMatrix:

@@ -1,8 +1,18 @@
 """Exact rational matrices and fraction-free linear algebra.
 
+A ``Matrix`` holds its entries as integer numerators over one positive
+scale, the least common multiple of their denominators; equal matrices
+have equal numerators, and ``Fraction`` rows are built only when read.
+Parsing, the bistochastic checks, arithmetic and every consumer in the
+package (maximal trace, norms, decomposition, canonical forms) work on
+the numerators.
+
 Rank, solve and inverse run Bareiss-style fraction-free elimination on
-integer-scaled rows (exact divisions, entries stay determinant-bounded),
-followed by a rational back-substitution pass.  Singularity is detected
+integer rows (exact divisions, entries stay determinant-bounded),
+followed by an integer back substitution: the last pivot d is the
+determinant of the eliminated system, so d times the solution is an
+integer vector (Cramer), every division is checked exact, and one
+``Fraction`` is built per output coordinate.  Singularity is detected
 by a pivot search finding only zeros, never by tolerance.
 
 Independence of permutation matrices is decided the same way after a
@@ -14,9 +24,10 @@ the remaining core is eliminated.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
-from .rational import as_rational, format_rational
+from .rational import as_rational, format_rational, parse_ratio
 
 
 class SingularMatrixError(ValueError):
@@ -32,9 +43,15 @@ class NotBistochasticError(ValueError):
 
 
 class Matrix:
-    """Immutable matrix with exact rational entries."""
+    """Immutable matrix with exact rational entries.
 
-    __slots__ = ("_rows",)
+    It holds the entries as integer numerators over one positive
+    ``scale``, the least common multiple of their denominators, so equal
+    matrices have equal numerators and compare and hash on them.  The
+    ``Fraction`` rows are built on first use and kept.
+    """
+
+    __slots__ = ("_scale", "_nums", "_rows")
 
     def __init__(self, rows):
         data = tuple(tuple(as_rational(e) for e in row) for row in rows)
@@ -44,64 +61,117 @@ class Matrix:
         for i, row in enumerate(data):
             if len(row) != width:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {width}")
+        scale = lcm(*(e.denominator for row in data for e in row))
+        nums = tuple(
+            tuple(e.numerator * (scale // e.denominator) for e in row) for row in data
+        )
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_nums", nums)
         object.__setattr__(self, "_rows", data)
+        self._validate()
+
+    @classmethod
+    def _from_numerators(cls, scale: int, nums):
+        """The matrix with entries ``nums[i][j] / scale``, for ``scale > 0``.
+
+        Reduces by the gcd of the scale and every numerator, which makes
+        the scale the least common multiple of the entries' denominators.
+        """
+        nums = tuple(map(tuple, nums))
+        g = gcd(scale, *(v for row in nums for v in row))
+        if g != 1:
+            scale //= g
+            nums = tuple(tuple(v // g for v in row) for row in nums)
+        m = object.__new__(cls)
+        object.__setattr__(m, "_scale", scale)
+        object.__setattr__(m, "_nums", nums)
+        object.__setattr__(m, "_rows", None)
+        m._validate()
+        return m
+
+    def _validate(self) -> None:
+        """Subclass checks, run on the numerators by both constructors."""
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[int(i == j) for j in range(n)] for i in range(n)])
+        return Matrix._from_numerators(1, _identity_rows(n))
+
+    @property
+    def scale(self) -> int:
+        """The least common multiple of the entries' denominators."""
+        return self._scale
+
+    @property
+    def numerators(self) -> tuple:
+        """Integer rows: entry (i, j) is ``numerators[i][j] / scale``."""
+        return self._nums
 
     @property
     def rows(self) -> tuple:
-        return self._rows
+        rows = self._rows
+        if rows is None:
+            s = self._scale
+            rows = tuple(tuple(Fraction(v, s) for v in row) for row in self._nums)
+            object.__setattr__(self, "_rows", rows)
+        return rows
 
     @property
     def nrows(self) -> int:
-        return len(self._rows)
+        return len(self._nums)
 
     @property
     def ncols(self) -> int:
-        return len(self._rows[0])
+        return len(self._nums[0])
 
     @property
     def shape(self) -> tuple:
         return (self.nrows, self.ncols)
 
     def __getitem__(self, i: int) -> tuple:
-        return self._rows[i]
+        return self.rows[i]
 
     def __iter__(self):
-        return iter(self._rows)
+        return iter(self.rows)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self._rows == other._rows
+        return (
+            isinstance(other, Matrix)
+            and self._scale == other._scale
+            and self._nums == other._nums
+        )
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash((self._scale, self._nums))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(format_rational(e) for e in row) for row in self._rows)
+        body = "; ".join(" ".join(format_rational(e) for e in row) for row in self.rows)
         return f"{type(self).__name__}([{body}])"
 
     def flatten(self) -> tuple:
-        return tuple(e for row in self._rows for e in row)
+        return tuple(e for row in self.rows for e in row)
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self._rows)))
+        return Matrix._from_numerators(self._scale, zip(*self._nums))
 
     def trace(self) -> Fraction:
         if self.nrows != self.ncols:
             raise ValueError("trace requires a square matrix")
-        return sum((self._rows[i][i] for i in range(self.nrows)), Fraction(0))
+        return Fraction(sum(row[i] for i, row in enumerate(self._nums)), self._scale)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return Matrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self, other)])
+        scale = lcm(self._scale, other._scale)
+        a, b = scale // self._scale, scale // other._scale
+        return Matrix._from_numerators(
+            scale,
+            [[a * x + b * y for x, y in zip(r1, r2)] for r1, r2 in zip(self._nums, other._nums)],
+        )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -112,15 +182,19 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-            cols = list(zip(*other._rows))
-            return Matrix(
-                [[_dot(row, col) for col in cols] for row in self._rows]
+            cols = list(zip(*other._nums))
+            return Matrix._from_numerators(
+                self._scale * other._scale,
+                [[sum(map(mul, row, col)) for col in cols] for row in self._nums],
             )
         try:
             s = as_rational(other)
         except TypeError:
             return NotImplemented
-        return Matrix([[s * e for e in row] for row in self._rows])
+        return Matrix._from_numerators(
+            self._scale * s.denominator,
+            [[s.numerator * v for v in row] for row in self._nums],
+        )
 
     def __rmul__(self, other):
         try:
@@ -133,23 +207,22 @@ class Matrix:
 class BistochasticMatrix(Matrix):
     """Square nonnegative matrix whose rows and columns each sum to 1.
 
-    The checks run on the integer numerators of the entries over their
-    least common denominator.
+    The checks run on the integer numerators, each row and column
+    summing to the scale.
     """
 
-    def __init__(self, rows):
-        super().__init__(rows)
-        n = self.nrows
-        if self.ncols != n:
-            raise NotBistochasticError(f"matrix is {n}x{self.ncols}, not square")
+    def _validate(self) -> None:
         # a Fraction is built only for an error message
-        scale = lcm(*(e.denominator for row in self._rows for e in row))
-        nums = [[e.numerator * (scale // e.denominator) for e in row] for row in self._rows]
+        nums = self._nums
+        scale = self._scale
+        n = len(nums)
+        if len(nums[0]) != n:
+            raise NotBistochasticError(f"matrix is {n}x{len(nums[0])}, not square")
         for i, row in enumerate(nums):
             if min(row) < 0:
                 j = next(j for j, e in enumerate(row) if e < 0)
                 raise NotBistochasticError(
-                    f"negative entry {format_rational(self._rows[i][j])} "
+                    f"negative entry {format_rational(Fraction(row[j], scale))} "
                     f"at row {i + 1}, column {j + 1}"
                 )
             total = sum(row)
@@ -168,13 +241,12 @@ class BistochasticMatrix(Matrix):
 
     @staticmethod
     def identity(n: int) -> "BistochasticMatrix":
-        return BistochasticMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+        return BistochasticMatrix._from_numerators(1, _identity_rows(n))
 
     @staticmethod
     def uniform(n: int) -> "BistochasticMatrix":
         """J_n, the matrix all of whose entries are 1/n."""
-        e = Fraction(1, n)
-        return BistochasticMatrix([[e] * n for _ in range(n)])
+        return BistochasticMatrix._from_numerators(n, [[1] * n for _ in range(n)])
 
     @staticmethod
     def combination(terms) -> "BistochasticMatrix":
@@ -190,22 +262,11 @@ class BistochasticMatrix(Matrix):
             k = c.numerator * (scale // c.denominator)
             for j, i in enumerate(p.images):
                 nums[i][j] += k
-        return BistochasticMatrix([[Fraction(e, scale) for e in row] for row in nums])
+        return BistochasticMatrix._from_numerators(scale, nums)
 
 
-def _dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def _integer_rows(m: Matrix):
-    """Per-row denominator clearing; returns (int rows, row scale factors)."""
-    out = []
-    scales = []
-    for row in m:
-        s = lcm(*(e.denominator for e in row))
-        out.append([int(e * s) for e in row])
-        scales.append(s)
-    return out, scales
+def _identity_rows(n: int) -> list:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -257,8 +318,7 @@ def _forward_eliminate(rows):
 
 def rank(m: Matrix) -> int:
     """Rank over the rationals, computed exactly."""
-    rows, _ = _integer_rows(m)
-    pivots, _ = _forward_eliminate(rows)
+    pivots, _ = _forward_eliminate([list(row) for row in m.numerators])
     return len(pivots)
 
 
@@ -267,28 +327,71 @@ def det(m: Matrix) -> Fraction:
     n = m.nrows
     if m.ncols != n:
         raise ValueError("determinant requires a square matrix")
-    rows, scales = _integer_rows(m)
+    rows = [list(row) for row in m.numerators]
     pivots, swaps = _forward_eliminate(rows)
     if len(pivots) < n:
         return Fraction(0)
     r, c = pivots[-1]
-    value = Fraction(rows[r][c])
-    if swaps % 2:
-        value = -value
-    for s in scales:
-        value /= s
-    return value
+    value = -rows[r][c] if swaps % 2 else rows[r][c]
+    return Fraction(value, m.scale ** n)
+
+
+def _augmented(m: Matrix, extra) -> list:
+    """Integer rows of ``[m | extra]``, each row scaled to clear its denominators.
+
+    ``extra`` gives one list of exact rationals (ints or ``Fraction``s)
+    per row of m; row i is multiplied by the least common multiple of
+    ``m.scale`` and the denominators of ``extra[i]``.
+    """
+    s = m.scale
+    out = []
+    for row, ext in zip(m.numerators, extra):
+        t = lcm(s, *(e.denominator for e in ext))
+        k = t // s
+        out.append([v * k for v in row] + [e.numerator * (t // e.denominator) for e in ext])
+    return out
 
 
 def _back_substitute(rows, n, rhs_col):
-    """Solve the upper-triangular integer system for one augmented column."""
-    x = [Fraction(0)] * n
+    """Integer back substitution on Bareiss output: (d, u) with solution u / d.
+
+    ``rows`` is ``_forward_eliminate``'s output with pivots (i, i) for
+    i < n.  Its last pivot is the determinant of the row-permuted leading
+    n x n system, so by Cramer's rule d times the solution is an integer
+    vector u, and u[i] = (d b[i] - sum_{j > i} U[i][j] u[j]) / U[i][i]
+    divides exactly (checked).  d is made positive.
+    """
+    d = rows[n - 1][n - 1]
+    u = [0] * n
     for i in range(n - 1, -1, -1):
-        s = Fraction(rows[i][rhs_col])
-        for j in range(i + 1, n):
-            s -= rows[i][j] * x[j]
-        x[i] = s / rows[i][i]
-    return x
+        row = rows[i]
+        u[i] = _exact_div(d * row[rhs_col] - sum(map(mul, row[i + 1:n], u[i + 1:])), row[i])
+    if d < 0:
+        return -d, [-v for v in u]
+    return d, u
+
+
+def _eliminate_square(rows, n) -> None:
+    """Bareiss elimination of an n x n system with extra columns, in place.
+
+    Raises ``SingularMatrixError`` unless the pivots are (i, i) for i < n.
+    """
+    pivots, _ = _forward_eliminate(rows)
+    if len(pivots) < n or any(c >= n for _, c in pivots):
+        raise SingularMatrixError("matrix is singular")
+
+
+def solve_integer(a, b) -> tuple:
+    """(d, u) with u / d the solution of the square integer system a x = b, d > 0.
+
+    ``a`` is a nonsingular list of integer rows and ``b`` an integer
+    vector; Bareiss elimination and the integer back substitution of
+    ``_back_substitute`` run on ``[a | b]`` with no ``Fraction``.
+    """
+    rows = [list(row) + [v] for row, v in zip(a, b)]
+    n = len(rows)
+    _eliminate_square(rows, n)
+    return _back_substitute(rows, n, n)
 
 
 def solve(m: Matrix, rhs) -> tuple:
@@ -299,12 +402,10 @@ def solve(m: Matrix, rhs) -> tuple:
     b = [as_rational(e) for e in rhs]
     if len(b) != n:
         raise ValueError(f"right-hand side has {len(b)} entries, expected {n}")
-    aug = Matrix([list(row) + [b[i]] for i, row in enumerate(m)])
-    rows, _ = _integer_rows(aug)
-    pivots, _ = _forward_eliminate(rows)
-    if len(pivots) < n or any(c >= n for _, c in pivots):
-        raise SingularMatrixError("matrix is singular")
-    return tuple(_back_substitute(rows, n, n))
+    rows = _augmented(m, [[e] for e in b])
+    _eliminate_square(rows, n)
+    d, u = _back_substitute(rows, n, n)
+    return tuple(Fraction(v, d) for v in u)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -312,13 +413,11 @@ def inverse(m: Matrix) -> Matrix:
     n = m.nrows
     if m.ncols != n:
         raise ValueError(f"inverse requires a square matrix, got {m.shape}")
-    aug = Matrix([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)])
-    rows, _ = _integer_rows(aug)
-    pivots, _ = _forward_eliminate(rows)
-    if len(pivots) < n or any(c >= n for _, c in pivots):
-        raise SingularMatrixError("matrix is singular")
+    rows = _augmented(m, _identity_rows(n))
+    _eliminate_square(rows, n)
     cols = [_back_substitute(rows, n, n + k) for k in range(n)]
-    return Matrix(list(zip(*cols)))
+    # every column shares the last pivot as its denominator
+    return Matrix._from_numerators(cols[0][0], zip(*(u for _, u in cols)))
 
 
 def solve_tall(m: Matrix, rhs) -> tuple:
@@ -331,14 +430,14 @@ def solve_tall(m: Matrix, rhs) -> tuple:
     b = [as_rational(e) for e in rhs]
     if len(b) != nr:
         raise ValueError(f"right-hand side has {len(b)} entries, expected {nr}")
-    aug = Matrix([list(row) + [b[i]] for i, row in enumerate(m)])
-    rows, _ = _integer_rows(aug)
+    rows = _augmented(m, [[e] for e in b])
     pivots, _ = _forward_eliminate(rows)
     if any(c >= nc for _, c in pivots):
         raise ValueError("system is inconsistent")
     if len(pivots) < nc:
         raise ValueError("matrix does not have full column rank")
-    return tuple(_back_substitute(rows, nc, nc))
+    d, u = _back_substitute(rows, nc, nc)
+    return tuple(Fraction(v, d) for v in u)
 
 
 def kernel_vector(m: Matrix):
@@ -346,20 +445,21 @@ def kernel_vector(m: Matrix):
 
     Deterministic: the first free column (in order) is set to 1.
     """
-    rows, _ = _integer_rows(m)
+    rows = [list(row) for row in m.numerators]
     pivots, _ = _forward_eliminate(rows)
     nc = m.ncols
     pivot_cols = {c for _, c in pivots}
     free = [c for c in range(nc) if c not in pivot_cols]
     if not free:
         return None
+    f = free[0]
     x = [Fraction(0)] * nc
-    x[free[0]] = Fraction(1)
-    for r, c in reversed(pivots):
-        s = Fraction(0)
-        for j in range(c + 1, nc):
-            s += rows[r][j] * x[j]
-        x[c] = -s / rows[r][c]
+    x[f] = Fraction(1)
+    if f:
+        # the columns before f are the pivots (i, i), and those after it
+        # solve to 0, so x[:f] solves the leading f x f system against -column f
+        d, u = _back_substitute(rows, f, f)
+        x[:f] = (Fraction(-v, d) for v in u)
     return tuple(x)
 
 
@@ -367,7 +467,8 @@ def frobenius_inner(a: Matrix, b: Matrix) -> Fraction:
     """Exact Frobenius inner product, the sum of entrywise products."""
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return sum((x * y for r1, r2 in zip(a, b) for x, y in zip(r1, r2)), Fraction(0))
+    total = sum(sum(map(mul, r1, r2)) for r1, r2 in zip(a.numerators, b.numerators))
+    return Fraction(total, a.scale * b.scale)
 
 
 def _peel(perms) -> list:
@@ -458,6 +559,8 @@ def parse_matrix(text: str, bistochastic: bool = False) -> Matrix:
 
     One row per line, entries as rational literals separated by
     whitespace; ``#`` begins a comment line and blank lines are ignored.
+    Each literal becomes a reduced ``(p, q)`` pair, and the matrix is
+    built from integer numerators over the least common denominator.
     """
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -467,7 +570,7 @@ def parse_matrix(text: str, bistochastic: bool = False) -> Matrix:
         entries = []
         for col, token in enumerate(line.split(), start=1):
             try:
-                entries.append(as_rational(token))
+                entries.append(parse_ratio(token))
             except ValueError as exc:
                 raise MatrixParseError(f"line {lineno}, entry {col}: {exc}") from exc
         rows.append((lineno, entries))
@@ -479,8 +582,9 @@ def parse_matrix(text: str, bistochastic: bool = False) -> Matrix:
             raise MatrixParseError(
                 f"line {lineno}: {len(entries)} entries, expected {width}"
             )
-    data = [entries for _, entries in rows]
-    return BistochasticMatrix(data) if bistochastic else Matrix(data)
+    scale = lcm(*(q for _, entries in rows for _, q in entries))
+    nums = [[p * (scale // q) for p, q in entries] for _, entries in rows]
+    return (BistochasticMatrix if bistochastic else Matrix)._from_numerators(scale, nums)
 
 
 def format_matrix(m: Matrix) -> str:

@@ -150,7 +150,7 @@ class Permutation:
         rows = [[0] * n for _ in range(n)]
         for j, i in enumerate(self.images):
             rows[i][j] = 1
-        return BistochasticMatrix(rows)
+        return BistochasticMatrix._from_numerators(1, rows)
 
 
 def agreement_count(a: Permutation, b: Permutation) -> int:

@@ -1,39 +1,51 @@
 """Exact rational scalars and their text form.
 
-Every scalar in this package is a ``fractions.Fraction``: stored reduced,
-with a positive denominator, so equal values always have an identical
-representation and comparisons are exact.  There is no floating-point
-mode anywhere in the core; decimals appear only as optional *additional*
-renderings in the CLI.
+Every scalar this package returns is a ``fractions.Fraction``: stored
+reduced, with a positive denominator, so equal values always have an
+identical representation and comparisons are exact.  Matrices hold
+integer numerators over one common denominator instead (see ``linalg``)
+and build ``Fraction`` entries only when asked.  There is no
+floating-point mode anywhere in the core; decimals appear only as
+optional *additional* renderings in the CLI.
 
 This module owns the text grammar shared by matrix files, JSON payloads
-and the CLI: ``p`` or ``p/q`` with an optional leading minus and a
-nonzero denominator (``3/6`` parses to ``1/2``, ``-0/5`` to ``0``).
+and the CLI: ``p`` or ``p/q`` in ASCII digits, with an optional leading
+minus and a nonzero denominator (``3/6`` parses to ``1/2``, ``-0/5`` to
+``0``).  ``parse_ratio`` reads a literal as a reduced integer pair, which
+is what the matrix parser uses, and ``parse_rational`` as a ``Fraction``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_ratio(text: str) -> tuple:
+    """Parse a ``p`` or ``p/q`` literal into ``(p, q)`` in lowest terms, q > 0."""
+    token = text.strip()
+    m = _RATIONAL_RE.fullmatch(token)
+    if m is None:
+        raise ValueError(f"malformed rational literal {token!r}")
+    numerator, denominator = m.groups()
+    if denominator is None:
+        return int(numerator), 1
+    denominator = int(denominator)
+    if denominator == 0:
+        raise ValueError(f"zero denominator in rational literal {token!r}")
+    numerator = int(numerator)
+    g = gcd(numerator, denominator)
+    return numerator // g, denominator // g
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a ``p`` or ``p/q`` literal into a reduced Fraction."""
-    token = text.strip()
-    m = _RATIONAL_RE.match(token)
-    if m is None:
-        raise ValueError(f"malformed rational literal {token!r}")
-    numerator = int(m.group(1))
-    if m.group(2) is None:
-        return Fraction(numerator)
-    denominator = int(m.group(2))
-    if denominator == 0:
-        raise ValueError(f"zero denominator in rational literal {token!r}")
-    return Fraction(numerator, denominator)
+    return Fraction(*parse_ratio(text))
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -1,10 +1,10 @@
 """Shared fixtures: reference matrices and independent oracle helpers.
 
-The oracles here (plain Gaussian elimination, brute-force and row-scan
-canonical minimization, the unpeeled independence test, and the greedy
-decomposition over Fractions with a from-scratch matching per candidate
-row) are deliberately separate implementations from the library paths
-they check.
+The oracles here (plain Gaussian and Gauss-Jordan elimination,
+brute-force and row-scan canonical minimization, the unpeeled
+independence test, and the greedy decomposition over Fractions with a
+from-scratch matching per candidate row) are deliberately separate
+implementations from the library paths they check.
 """
 
 from fractions import Fraction
@@ -67,6 +67,30 @@ def naive_rank(rows) -> int:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         r += 1
     return r
+
+
+def gauss_jordan_solve(a_rows, rhs):
+    """Solutions of a x = b for each column b of ``rhs``, by Gauss-Jordan over Fractions.
+
+    None when the columns of a are dependent or some b is inconsistent
+    (oracle, independent of Bareiss and its integer back substitution).
+    """
+    nr, nc = len(a_rows), len(a_rows[0])
+    rows = [[F(e) for e in a_rows[i]] + [F(b[i]) for b in rhs] for i in range(nr)]
+    for c in range(nc):
+        piv = next((i for i in range(c, nr) if rows[i][c] != 0), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        pv = rows[c][c]
+        rows[c] = [e / pv for e in rows[c]]
+        for i in range(nr):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    if any(e != 0 for row in rows[nc:] for e in row):
+        return None
+    return [tuple(rows[i][nc + k] for i in range(nc)) for k in range(len(rhs))]
 
 
 def brute_canonical_flatten(a):

@@ -6,6 +6,7 @@ import pytest
 
 from erdosmat import assignment
 from erdosmat.assignment import (
+    _brute_max,
     delta,
     frobenius_sq,
     is_erdos,
@@ -13,7 +14,7 @@ from erdosmat.assignment import (
     max_trace,
 )
 from erdosmat.birkhoff import decompose
-from erdosmat.linalg import BistochasticMatrix, Matrix
+from erdosmat.linalg import BistochasticMatrix, Matrix, parse_matrix
 from erdosmat.sampling import random_bistochastic, random_permutation
 
 from conftest import direct_sum
@@ -200,3 +201,29 @@ def test_decomposition_support_are_witnesses(ref):
         cert = max_trace(a)
         for p in decompose(a).support:
             assert p in cert.witnesses
+
+
+def test_numerator_consumers_match_fraction_oracles():
+    """frobenius_sq and max_trace read numerators; check them against Fraction sums."""
+    rng = random.Random(71)
+    mats = []
+    for n in range(1, 7):
+        for _ in range(6):
+            raw = [rng.randint(1, 300_000) for _ in range(rng.randint(1, 2 * n))]
+            perms = [random_permutation(n, rng) for _ in raw]
+            mats.append(BistochasticMatrix.combination(
+                (F(w, sum(raw)), p) for w, p in zip(raw, perms)))
+            big = rng.choice((4, 10**6))
+            text = "\n".join(
+                " ".join(f"{rng.randint(-big, big)}/{rng.randint(1, big)}" for _ in range(n))
+                for _ in range(n))
+            mats.append(parse_matrix(text))  # signed, not bistochastic
+    for a in mats:
+        frob = sum((e * e for row in a.rows for e in row), F(0))
+        value, witnesses = _brute_max(a)
+        assert frobenius_sq(a) == frob
+        for method in ("auto", "hungarian", "brute"):
+            assert max_trace(a, method).value == value
+        assert max_trace(a).witnesses == witnesses
+        assert delta(a) == value - frob
+        assert is_erdos(a)[0] == (value == frob)

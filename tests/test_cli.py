@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from erdosmat import __version__
+from erdosmat import __version__, cli
+from erdosmat.birkhoff import ConvexDecomposition, decompose
 from erdosmat.cli import main
 from erdosmat.enumeration import canonical_form
 from erdosmat.linalg import BistochasticMatrix, format_matrix, parse_matrix
+from erdosmat.perms import Permutation
 
 F = Fraction
 
@@ -77,6 +79,14 @@ def test_verify_parse_error(tmp_path, capsys):
     path.write_text("1/2 oops\n")
     assert main(["verify", str(path)]) == 3
     assert "line 1, entry 2" in capsys.readouterr().err
+
+
+def test_verify_rejects_non_ascii_digits(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("1/2 1/2\n1/\uff12 1/2\n", encoding="utf-8")
+    assert main(["verify", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: line 2, entry 1: malformed rational literal '1/\uff12'\n")
 
 
 def test_verify_missing_file(capsys):
@@ -151,6 +161,21 @@ def test_decompose(r_file, capsys):
     env = _json_out(capsys)
     assert env["payload"]["term_count"] == 3
     assert env["payload"]["terms"][0] == {"coef": "1/5", "perm": [1, 2, 3]}
+
+
+def test_decompose_reconstruction_is_checked(r_file, monkeypatch, capsys):
+    # valid decompositions of other matrices: I_3, and R's own support
+    # with its weights rotated
+    terms = list(decompose(parse_matrix(R_TEXT, bistochastic=True)))
+    rotated = [(terms[(k + 1) % len(terms)][0], p) for k, (_, p) in enumerate(terms)]
+    for other in (ConvexDecomposition([(1, Permutation.identity(3))]),
+                  ConvexDecomposition(rotated)):
+        for reduce in ("affine", "linear"):
+            monkeypatch.setattr(cli, f"reduce_{reduce}", lambda d, other=other: other)
+            with pytest.raises(RuntimeError,
+                               match="decomposition failed to reconstruct the input"):
+                main(["decompose", r_file, "--reduce", reduce])
+    assert capsys.readouterr().out == ""
 
 
 def test_decompose_permutation_single_term(tmp_path, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from erdosmat.assignment import frobenius_sq
+from erdosmat import gram
 from erdosmat.gram import (
     assemble,
     build_gram,
@@ -15,6 +16,8 @@ from erdosmat.gram import (
 from erdosmat.linalg import BistochasticMatrix, Matrix, det
 from erdosmat.perms import Permutation, conjugacy_class_reps
 from erdosmat.sampling import random_permutation
+
+from conftest import gauss_jordan_solve
 
 F = Fraction
 
@@ -115,6 +118,41 @@ def test_solve_candidate_negative_s4():
     sol = solve_candidate(build_gram(s4))
     assert not sol.nonneg
     assert sol.x == (F(-1, 7), F(3, 7), F(2, 7), F(3, 7))
+
+
+def test_solve_candidate_matches_gauss_jordan_oracle():
+    rng = random.Random(73)
+    signs = set()
+    for n in (3, 4, 5):
+        for _ in range(40):
+            perms = {Permutation.identity(n)}
+            while len(perms) < rng.randint(1, (n - 1) ** 2 + 1):
+                perms.add(random_permutation(n, rng))
+            g = build_gram(perms)
+            if g.independence != "linear":
+                continue
+            (y,) = gauss_jordan_solve(g.gram, [[1] * g.m])
+            x = tuple(v / sum(y) for v in y)
+            common = sum((g.gram[i][j] * x[i] * x[j] for i in range(g.m) for j in range(g.m)),
+                         F(0))
+            sol = solve_candidate(g)
+            assert sol.x == x and sol.common_value == common
+            assert sol.nonneg == all(v >= 0 for v in x)
+            signs.add(sol.nonneg)
+    assert signs == {True, False}
+
+
+def test_solve_candidate_checks_mx_constant(monkeypatch):
+    solve_integer = gram.solve_integer
+
+    def off_by_one(a, b):
+        d, u = solve_integer(a, b)
+        u[-1] += 1
+        return d, u
+
+    monkeypatch.setattr(gram, "solve_integer", off_by_one)
+    with pytest.raises(RuntimeError, match="Mx is not constant"):
+        solve_candidate(build_gram([I3, SIG, GAM]))
 
 
 def test_solve_candidate_rejects_dependent():

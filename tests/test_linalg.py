@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -10,6 +11,7 @@ from erdosmat.linalg import (
     MatrixParseError,
     NotBistochasticError,
     SingularMatrixError,
+    _forward_eliminate,
     _peel,
     affine_independent,
     det,
@@ -21,13 +23,14 @@ from erdosmat.linalg import (
     parse_matrix,
     rank,
     solve,
+    solve_integer,
     solve_tall,
 )
 from erdosmat.perms import Permutation, all_permutations
 from erdosmat.rational import format_rational
 from erdosmat.sampling import random_bistochastic
 
-from conftest import naive_rank, unpeeled_independent
+from conftest import gauss_jordan_solve, naive_rank, unpeeled_independent
 
 F = Fraction
 
@@ -382,3 +385,242 @@ def test_parse_errors_carry_location():
         parse_matrix("1 2\n3 4\n5 6 7\n")
     with pytest.raises(MatrixParseError, match="no matrix rows"):
         parse_matrix("# nothing\n")
+
+
+def test_numerator_form_is_canonical():
+    a = Matrix([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]])
+    b = Matrix._from_numerators(12, [[6, 6], [6, 6]])
+    assert a == b and hash(a) == hash(b)
+    assert (b.scale, b.numerators) == (2, ((1, 1), (1, 1)))
+    c = BistochasticMatrix._from_numerators(12, [[6, 6], [6, 6]])
+    assert c == a and hash(c) == hash(a) and c == BistochasticMatrix.uniform(2)
+    assert b.rows == a.rows
+    z = Matrix._from_numerators(7, [[0, 0]])
+    assert (z.scale, z.numerators) == (1, ((0, 0),)) and z == Matrix([[0, 0]])
+    m = Matrix._from_numerators(6, [[-4, 2]])
+    assert (m.scale, m.numerators) == (3, ((-2, 1),))
+    assert m.rows == ((F(-2, 3), F(1, 3)),)
+    assert m != Matrix([[F(-2, 3)], [F(1, 3)]])  # same entries, other shape
+
+
+def test_rows_are_derived_on_first_use():
+    m = parse_matrix("1/2 1/3\n-1/6 5\n")
+    assert m._rows is None
+    assert m.shape == (2, 2) and m.nrows == 2 and m.ncols == 2
+    assert m.transpose() == Matrix([[F(1, 2), F(-1, 6)], [F(1, 3), 5]])
+    assert m.trace() == F(11, 2)
+    assert m._rows is None
+    a = parse_matrix("1/3 2/3\n2/3 1/3\n", bistochastic=True)
+    frobenius_inner(a, a)
+    assert a._rows is None
+    assert m[1] == (F(-1, 6), F(5))
+    assert m._rows == ((F(1, 2), F(1, 3)), (F(-1, 6), F(5)))
+    assert m.rows is m.rows  # built once, then kept
+
+
+def test_derived_rows_equal_parsed_fractions():
+    rng = random.Random(59)
+    for _ in range(200):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        big = rng.choice((9, 10**6))
+        pairs = [
+            [(rng.randint(-big, big), rng.randint(1, big)) for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        text = "\n".join(" ".join(f"{p}/{q}" for p, q in row) for row in pairs)
+        expected = tuple(tuple(F(p, q) for p, q in row) for row in pairs)
+        m = parse_matrix(text)
+        assert m.scale == lcm(*(e.denominator for row in expected for e in row))
+        assert gcd(m.scale, *(v for row in m.numerators for v in row)) == 1
+        assert m.rows == expected
+        assert list(m) == list(expected) and m.flatten() == sum(expected, ())
+        built = Matrix(expected)
+        assert m == built and hash(m) == hash(built)
+        assert (built.scale, built.numerators) == (m.scale, m.numerators)
+    for n in range(1, 7):
+        for _ in range(10):
+            raw = [rng.randint(1, 200_000) for _ in range(rng.randint(1, 2 * n))]
+            perms = [Permutation(rng.sample(range(n), n)) for _ in raw]
+            terms = [(F(w, sum(raw)), p) for w, p in zip(raw, perms)]
+            expected = [[F(0)] * n for _ in range(n)]
+            for c, p in terms:
+                for j, i in enumerate(p.images):
+                    expected[i][j] += c
+            a = parse_matrix(format_matrix(Matrix(expected)), bistochastic=True)
+            assert a.rows == tuple(map(tuple, expected))
+            assert a == BistochasticMatrix.combination(terms) == BistochasticMatrix(expected)
+
+
+def test_integer_arithmetic_matches_fractions():
+    rng = random.Random(61)
+    for _ in range(60):
+        n, k = rng.randint(1, 4), rng.randint(1, 4)
+        a = _random_matrix(rng, n, k, bound=rng.choice((3, 10**6)))
+        b = _random_matrix(rng, n, k, bound=9)
+        c = _random_matrix(rng, k, rng.randint(1, 4), bound=9)
+        s = F(rng.randint(-9, 9), rng.randint(1, 9))
+        assert (a + b).rows == tuple(
+            tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(a.rows, b.rows))
+        assert (a - b).rows == tuple(
+            tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(a.rows, b.rows))
+        assert (s * a).rows == (a * s).rows == tuple(tuple(s * x for x in r) for r in a.rows)
+        assert (a * c).rows == tuple(
+            tuple(sum((x * y for x, y in zip(r, col)), F(0)) for col in zip(*c.rows))
+            for r in a.rows)
+        assert a.transpose().rows == tuple(zip(*a.rows))
+        assert frobenius_inner(a, b) == sum(
+            (x * y for r1, r2 in zip(a.rows, b.rows) for x, y in zip(r1, r2)), F(0))
+        if n == k:
+            assert a.trace() == sum((a.rows[i][i] for i in range(n)), F(0))
+            assert det(a) == det(Matrix(a.rows))
+
+
+def _error(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def test_parse_and_shape_error_messages_word_for_word():
+    parse_errors = {
+        "1 2\n3 x\n": "line 2, entry 2: malformed rational literal 'x'",
+        "1 2\n3 1/0\n": "line 2, entry 2: zero denominator in rational literal '1/0'",
+        "1/2 1/２\n1/2 1/2\n": "line 1, entry 2: malformed rational literal '1/２'",
+        "٣/٤ 1/4\n": "line 1, entry 1: malformed rational literal '٣/٤'",
+        "1 2\n3 4\n5 6 7\n": "line 3: 3 entries, expected 2",
+        "# a\n1 2 3\n\n4\n": "line 4: 1 entries, expected 3",
+        "# nothing\n": "no matrix rows found in input",
+        "": "no matrix rows found in input",
+    }
+    for text, message in parse_errors.items():
+        for bistochastic in (False, True):
+            assert _error(parse_matrix, text, bistochastic) == ("MatrixParseError", message)
+    bistochastic_errors = {
+        "1/2 1/2\n2/5 1/2\n": "row 2 sums to 9/10, expected 1",
+        "2/5 3/5\n1/2 1/2\n": "column 1 sums to 9/10, expected 1",
+        "-1/2 3/2\n3/2 -1/2\n": "negative entry -1/2 at row 1, column 1",
+        "1 0\n": "matrix is 1x2, not square",
+        "1/3 2/3\n1/3 -2/6\n": "negative entry -1/3 at row 2, column 2",
+        "1/1000003 999999/1000003 3\n": "matrix is 1x3, not square",
+    }
+    for text, message in bistochastic_errors.items():
+        assert _error(parse_matrix, text, True) == ("NotBistochasticError", message)
+        assert _error(parse_matrix, text) is None
+    assert _error(parse_matrix, "2/4 1/2\n3/6 -0/7\n1/2 2/4\n") is None
+    assert _error(Matrix, [[1, 2], [3]]) == ("ValueError", "row 1 has 1 entries, expected 2")
+    for empty in ([], [[]]):
+        assert _error(Matrix, empty) == (
+            "ValueError", "matrix must have at least one row and one column")
+
+
+def test_numerator_constructor_errors_match_fraction_oracle():
+    rng = random.Random(101)
+    primes = (1_000_003, 999_983, 998_244_353)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = [list(row) for row in random_bistochastic(n, rng)]
+        for _ in range(rng.randint(0, 2)):
+            # a shift of one entry, or one moved within its row
+            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            x = rng.choice((-1, 1)) * F(rng.randint(1, 3), rng.choice(primes))
+            rows[i][j] += x
+            if rng.random() < 0.5:
+                rows[i][k] -= x
+        message = _oracle_bistochastic_error(rows)
+        scale = lcm(*(e.denominator for row in rows for e in row)) * rng.randint(1, 5)
+        nums = [[int(e * scale) for e in row] for row in rows]
+        got = _error(BistochasticMatrix._from_numerators, scale, nums)
+        assert got == (("NotBistochasticError", message) if message else None)
+        text = format_matrix(Matrix(rows))
+        assert _error(parse_matrix, text, True) == got
+        seen.add(message.split()[0] if message else None)
+    assert seen == {None, "negative", "row", "column"}
+
+
+def _checked_solve_integer(a, b):
+    d, u = solve_integer(a, b)
+    assert d > 0
+    assert all(sum(x * y for x, y in zip(row, u)) == d * v for row, v in zip(a, b))
+    return d, u
+
+
+def test_integer_back_substitution_matches_gauss_jordan_oracle():
+    rng = random.Random(67)
+    outcomes = {"square": 0, "singular": 0, "tall": 0, "tall-rejected": 0}
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        m = _random_matrix(rng, n, n, bound=rng.choice((1, 2, 9, 10**6)))
+        b = [F(rng.randint(-9, 9), rng.randint(1, rng.choice((9, 10**6)))) for _ in range(n)]
+        unit = [[int(i == k) for i in range(n)] for k in range(n)]
+        expected = gauss_jordan_solve(m.rows, [b] + unit)
+        if expected is None:
+            outcomes["singular"] += 1
+            with pytest.raises(SingularMatrixError):
+                solve(m, b)
+            with pytest.raises(SingularMatrixError):
+                inverse(m)
+        else:
+            outcomes["square"] += 1
+            assert solve(m, b) == expected[0]
+            assert inverse(m).rows == tuple(zip(*expected[1:]))
+            ints = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+            rhs = [rng.randint(-50, 50) for _ in range(n)]
+            oracle = gauss_jordan_solve(ints, [rhs])
+            if oracle is not None:
+                d, u = _checked_solve_integer(ints, rhs)
+                assert tuple(F(v, d) for v in u) == oracle[0]
+                assert d == abs(det(Matrix(ints)))
+        nr = n + rng.randint(0, 3)
+        tall = _random_matrix(rng, nr, n, bound=rng.choice((1, 3, 10**6)))
+        x0 = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+        rhs = [sum((e * x for e, x in zip(row, x0)), F(0)) for row in tall.rows]
+        if rng.random() < 0.3:
+            rhs[rng.randrange(nr)] += 1
+        expected = gauss_jordan_solve(tall.rows, [rhs])
+        if expected is None:
+            outcomes["tall-rejected"] += 1
+            with pytest.raises(ValueError):
+                solve_tall(tall, rhs)
+        else:
+            outcomes["tall"] += 1
+            assert solve_tall(tall, rhs) == expected[0]
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_kernel_vector_matches_gauss_jordan_oracle():
+    # the first column in the span of the ones before it is set to 1,
+    # every later column to 0
+    rng = random.Random(89)
+    outcomes = {"kernel": 0, "first-column": 0, "trivial": 0}
+    for _ in range(150):
+        nr = rng.randint(1, 5)
+        m = _random_matrix(rng, nr, nr + rng.randint(-1, 2) or 1,
+                           bound=rng.choice((1, 1, 2, 10**6)))
+        cols = list(zip(*m.rows))
+        expected = None
+        for f in range(m.ncols):
+            y = gauss_jordan_solve([c[:f] for c in m.rows], [cols[f]])
+            if y is not None:
+                expected = tuple(-v for v in y[0]) + (1,) + (0,) * (m.ncols - f - 1)
+                outcomes["first-column" if f == 0 else "kernel"] += 1
+                break
+        else:
+            outcomes["trivial"] += 1
+        assert kernel_vector(m) == expected
+    assert min(outcomes.values()) >= 5, outcomes
+
+
+def test_integer_back_substitution_checks_exact_division(monkeypatch):
+    import erdosmat.linalg as linalg
+
+    def broken(rows):
+        pivots, swaps = _forward_eliminate(rows)
+        rows[0][-1] += 1  # the top right-hand side no longer matches Cramer's rule
+        return pivots, swaps
+
+    monkeypatch.setattr(linalg, "_forward_eliminate", broken)
+    with pytest.raises(ArithmeticError, match="non-exact division"):
+        solve_integer([[2, 1], [1, 3]], [1, 1])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from erdosmat.rational import as_rational, format_rational, parse_rational
+from erdosmat.rational import as_rational, format_rational, parse_ratio, parse_rational
 
 
 def test_parse_reduces():
@@ -28,6 +28,29 @@ def test_parse_plain_and_negative():
 def test_parse_malformed(bad):
     with pytest.raises(ValueError, match="malformed"):
         parse_rational(bad)
+
+
+@pytest.mark.parametrize("bad", ["\u0663/\u0664", "\uff11", "1/\uff12", "\u0967", "1_000"])
+def test_parse_rejects_non_ascii_digits(bad):
+    # int() accepts these; the grammar is ASCII p and p/q
+    with pytest.raises(ValueError, match="malformed rational literal"):
+        parse_rational(bad)
+    with pytest.raises(ValueError, match="malformed rational literal"):
+        parse_ratio(bad)
+
+
+def test_parse_ratio_reduced_pairs():
+    assert parse_ratio("3/6") == (1, 2)
+    assert parse_ratio("-0/5") == (0, 1)
+    assert parse_ratio("-12") == (-12, 1)
+    assert parse_ratio(" -10/4 ") == (-5, 2)
+    with pytest.raises(ValueError, match="zero denominator in rational literal '3/0'"):
+        parse_ratio("3/0")
+    rng = random.Random(5)
+    for _ in range(200):
+        p, q = rng.randint(-10**6, 10**6), rng.randint(1, 10**6)
+        f = Fraction(p, q)
+        assert parse_ratio(f"{p}/{q}") == (f.numerator, f.denominator)
 
 
 def test_parse_zero_denominator():
