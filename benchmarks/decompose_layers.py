@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the Birkhoff layer: parsing, ``decompose``, ``reduce_linear`` and the checks.
+"""Time the Birkhoff layer: parsing, ``decompose``, ``reduce_linear``, the checks and the output.
 
 Usage, from the root of the repository:
 
@@ -12,8 +12,10 @@ every matrix in turn, ``parse_matrix`` with its bistochastic check on
 the matrix's text, ``decompose``, then ``reduce_linear`` on its output,
 the reconstruction check that ``erdosmat decompose`` makes on that
 (``r.matrix() != a``), then ``linear_independent`` and
-``affine_independent`` on the decomposition's support, and adds up the
-time of each layer.  A side's figure per layer is the median over
+``affine_independent`` on the decomposition's support, ``to_json`` of
+the reduced decomposition, and the ``--format json`` envelope that
+``erdosmat decompose`` prints (``cli._emit_json``, its output caught in a
+string buffer), and adds up the time of each layer.  A side's figure per layer is the median over
 ``--rounds`` rounds, after one untimed warm-up round, in a child process
 of its own that imports ``erdosmat`` from the side's ``src`` directory.
 
@@ -29,8 +31,10 @@ result, with a header naming the machine, goes to stdout or ``--out``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import platform
@@ -45,13 +49,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # (n, count): the decompose workload's sizes, the median one being n = 10
 PLAN = ((8, 2), (9, 2), (10, 6), (11, 2), (12, 2))
 LAYERS = ("parse_matrix", "decompose", "reduce_linear", "reconstruct",
-          "linear_independent", "affine_independent")
+          "linear_independent", "affine_independent", "to_json", "emit")
 
 
 def one_side(src: str, seed: int, rounds: int) -> dict:
     """Per-layer median seconds per round, in this process, from ``src``."""
     sys.path.insert(0, src)
     from erdosmat import affine_independent, decompose, linear_independent, reduce_linear
+    from erdosmat.cli import _emit_json
     from erdosmat.linalg import format_matrix, parse_matrix
     from erdosmat.sampling import random_bistochastic
 
@@ -78,10 +83,17 @@ def one_side(src: str, seed: int, rounds: int) -> dict:
             t5 = clock()
             affine_independent(d.support)
             t6 = clock()
-            times = (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5)
+            terms = r.to_json()
+            t7 = clock()
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                _emit_json(None, "decompose", a.n,
+                           {"terms": terms, "term_count": len(r), "reduce": "linear"})
+            t8 = clock()
+            times = (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t6 - t5, t7 - t6, t8 - t7)
             for layer, dt in zip(LAYERS, times):
                 spent[layer] += dt
-            out.append((d.to_json(), len(r)))
+            out.append((d.to_json(), len(r), buf.getvalue()))
         return spent, out
 
     _, out = round_times()
@@ -93,8 +105,8 @@ def one_side(src: str, seed: int, rounds: int) -> dict:
     return {
         "seconds": {k: statistics.median(s[k] for s in samples) for k in LAYERS},
         "matrices": len(plan),
-        "terms_in": sum(len(terms) for terms, _ in out),
-        "terms_out": sum(k for _, k in out),
+        "terms_in": sum(len(terms) for terms, _, _ in out),
+        "terms_out": sum(k for _, k, _ in out),
         "plan_digest": digest([[str(e) for row in a for e in row] for a in plan]),
         "output_digest": digest(out),
     }

@@ -12,7 +12,8 @@ The plan is the ``verify`` workload's: ``erdosbench/inputs.py`` draws
 One round runs, on every matrix in turn, ``parse_matrix`` with its
 bistochastic check, ``max_trace`` (``auto``), ``frobenius_sq``, then the
 ``--format json`` envelope that ``erdosmat verify`` prints, built and
-dumped with ``json.dumps``, and adds up the time of each layer.  A
+written by ``cli._emit_json`` (its output caught in a string buffer),
+and adds up the time of each layer.  A
 side's figure per layer is the median over ``--rounds`` rounds, after
 one untimed warm-up round, in a child process of its own that imports
 ``erdosmat`` from the side's ``src`` directory.
@@ -29,8 +30,10 @@ header naming the machine, goes to stdout or ``--out``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import platform
@@ -50,6 +53,7 @@ def one_side(src: str, seed: int, rounds: int) -> dict:
     sys.path.insert(0, os.path.join(ROOT, "erdosbench"))
     import inputs
     from erdosmat.assignment import frobenius_sq, max_trace
+    from erdosmat.cli import _emit_json
     from erdosmat.linalg import parse_matrix
     from erdosmat.rational import format_rational
 
@@ -78,8 +82,10 @@ def one_side(src: str, seed: int, rounds: int) -> dict:
                 "witnesses_complete": cert.complete,
                 "algorithm": cert.algorithm,
             }
-            envelope = {"command": "verify", "n": a.nrows, "payload": payload}
-            emitted = json.dumps(envelope, indent=2)
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                _emit_json(None, "verify", a.nrows, payload)
+            emitted = buf.getvalue()
             t4 = clock()
             for layer, dt in zip(LAYERS, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
                 spent[layer] += dt

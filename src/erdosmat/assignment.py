@@ -222,25 +222,35 @@ def _certify(w, images, u, v) -> int:
 def _tight_matchings(w, u, v) -> list:
     """Every perfect matching of the tight edges u[i] + v[j] == w[i][j].
 
-    Depth-first over columns 0..n-1 with rows tried in ascending order, so
-    the image tuples come out in lexicographic order.
+    Column by column with rows tried in ascending order, so the image
+    tuples come out in lexicographic order.  The completions of columns
+    j.. depend only on j and the set of rows the earlier columns took, so
+    ``_completions`` builds each such list once and shares it.
     """
     n = len(w)
     tight = [[i for i in range(n) if u[i] + v[j] == w[i][j]] for j in range(n)]
-    images = [0] * n
-    used = [False] * n
-    out = []
+    return _completions(tight, 0, 0, {})
 
-    def extend(j):
-        if j == n:
-            out.append(tuple(images))
-            return
-        for i in tight[j]:
-            if not used[i]:
-                used[i] = True
-                images[j] = i
-                extend(j + 1)
-                used[i] = False
 
-    extend(0)
-    return out
+def _completions(tight, j, used: int, memo: dict) -> list:
+    """The image tuples of columns j.. by tight edges, avoiding the rows in ``used``.
+
+    ``used`` is a bitmask of rows and ``memo`` maps ``(j, used)`` to the
+    list already built.  A module-level recursion rather than a closure
+    calling itself, so a call leaves no reference cycle for the collector.
+    """
+    key = (j, used)
+    found = memo.get(key)
+    if found is None:
+        if j == len(tight):
+            found = [()]
+        else:
+            found = []
+            for i in tight[j]:
+                bit = 1 << i
+                if not used & bit:
+                    head = (i,)
+                    for rest in _completions(tight, j + 1, used | bit, memo):
+                        found.append(head + rest)
+        memo[key] = found
+    return found

@@ -10,7 +10,11 @@ matching is built once and then carried from round to round: a round
 only deletes the cells it zeroed, and deleting cells can only make the
 least matching lexicographically larger, so once the freed columns are
 re-matched every column before the first one that changed keeps its
-row, and only the later columns are made least again.
+row, and only the later columns are made least again.  The result is a
+``ConvexDecomposition`` held the same way, as integer coefficients over
+that scale and image tuples, from which ``to_json`` and ``matrix`` read
+directly; its ``(Fraction, Permutation)`` terms are built only when
+read.
 ``reduce_affine`` shrinks a decomposition to an
 affinely independent support (Caratheodory-style exchange steps) and
 ``reduce_linear`` to a linearly independent one.  For permutation
@@ -19,16 +23,16 @@ entry sum n, forcing any annihilating coefficient vector to sum to zero.
 
 Greedy output is always independent: each round zeroes an entry that no
 later round uses, so every term is alone on the entry it zeroed, and
-``linalg.affine_independent`` proves that by peeling alone, with no
+``linalg`` proves that by peeling alone, in input order, with no
 elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .linalg import BistochasticMatrix, Matrix, affine_independent, kernel_vector
+from .linalg import BistochasticMatrix, Matrix, _independent, kernel_vector
 from .perms import Permutation
 from .rational import as_rational, format_rational
 
@@ -36,10 +40,16 @@ from .rational import as_rational, format_rational
 class ConvexDecomposition:
     """A convex combination of distinct permutation matrices.
 
-    Coefficients are positive exact rationals summing to one.
+    Coefficients are positive exact rationals summing to one.  They are
+    held as positive integer numerators over one common ``scale`` (their
+    least common denominator), with each permutation as its image tuple;
+    equal decompositions have equal integers, and compare and hash on
+    them.  ``to_json`` and ``matrix`` read the integers too, while the
+    ``(Fraction, Permutation)`` ``terms`` are built on first use and kept,
+    as ``linalg.Matrix`` does with its rows.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_scale", "_coefs", "_images", "_terms")
 
     def __init__(self, terms):
         terms = tuple((as_rational(c), p) for c, p in terms)
@@ -55,29 +65,89 @@ class ConvexDecomposition:
             if p in seen:
                 raise ValueError(f"duplicate permutation {p}")
             seen.add(p)
-        # summed as integer numerators over the least common denominator
+        # summed as integer numerators over the least common denominator;
+        # those are already coprime to it, so no reduction is needed
         scale = lcm(*(c.denominator for c, _ in terms))
-        total = sum(c.numerator * (scale // c.denominator) for c, _ in terms)
+        coefs = tuple(c.numerator * (scale // c.denominator) for c, _ in terms)
+        total = sum(coefs)
         if total != scale:
             raise ValueError(
                 f"coefficients sum to {format_rational(Fraction(total, scale))}, expected 1"
             )
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_coefs", coefs)
+        object.__setattr__(self, "_images", tuple(p.images for _, p in terms))
+        object.__setattr__(self, "_terms", terms)
+
+    @classmethod
+    def _from_integers(cls, scale: int, coefs, images):
+        """The decomposition with terms ``(coefs[k] / scale, images[k])``, for ``scale > 0``.
+
+        Checks positivity, distinctness and the sum on the integers,
+        building a ``Fraction`` only for an error message, and reduces by
+        the gcd of the scale and every coefficient.
+        """
+        coefs = tuple(coefs)
+        images = tuple(images)
+        if not coefs:
+            raise ValueError("decomposition needs at least one term")
+        if min(coefs) <= 0:
+            c = next(c for c in coefs if c <= 0)
+            raise ValueError(f"coefficient {format_rational(Fraction(c, scale))} is not positive")
+        if len(set(images)) != len(images):
+            seen = set()
+            for p in images:
+                if p in seen:
+                    raise ValueError(f"duplicate permutation {Permutation._unchecked(p)}")
+                seen.add(p)
+        total = sum(coefs)
+        if total != scale:
+            raise ValueError(
+                f"coefficients sum to {format_rational(Fraction(total, scale))}, expected 1"
+            )
+        g = gcd(scale, *coefs)
+        if g != 1:
+            scale //= g
+            coefs = tuple(c // g for c in coefs)
+        d = object.__new__(cls)
+        object.__setattr__(d, "_scale", scale)
+        object.__setattr__(d, "_coefs", coefs)
+        object.__setattr__(d, "_images", images)
+        object.__setattr__(d, "_terms", None)
+        return d
 
     def __setattr__(self, name, value):
         raise AttributeError("ConvexDecomposition is immutable")
 
+    @property
+    def terms(self) -> tuple:
+        """The ``(Fraction, Permutation)`` pairs, built on first use."""
+        terms = self._terms
+        if terms is None:
+            s = self._scale
+            terms = tuple(
+                (Fraction(c, s), Permutation._unchecked(p))
+                for c, p in zip(self._coefs, self._images)
+            )
+            object.__setattr__(self, "_terms", terms)
+        return terms
+
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._coefs)
 
     def __iter__(self):
         return iter(self.terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ConvexDecomposition) and self.terms == other.terms
+        return (
+            isinstance(other, ConvexDecomposition)
+            and self._scale == other._scale
+            and self._coefs == other._coefs
+            and self._images == other._images
+        )
 
     def __hash__(self) -> int:
-        return hash(self.terms)
+        return hash((self._scale, self._coefs, self._images))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{format_rational(c)}*{p}" for c, p in self.terms)
@@ -85,7 +155,7 @@ class ConvexDecomposition:
 
     @property
     def n(self) -> int:
-        return self.terms[0][1].n
+        return len(self._images[0])
 
     @property
     def support(self) -> tuple:
@@ -96,14 +166,22 @@ class ConvexDecomposition:
         return tuple(c for c, _ in self.terms)
 
     def matrix(self) -> BistochasticMatrix:
-        """Exact reconstruction of the combined matrix."""
-        return BistochasticMatrix.combination(self.terms)
+        """Exact reconstruction of the combined matrix, summed on the integers."""
+        n = self.n
+        nums = [[0] * n for _ in range(n)]
+        for c, p in zip(self._coefs, self._images):
+            for j, i in enumerate(p):
+                nums[i][j] += c
+        return BistochasticMatrix._from_numerators(self._scale, nums)
 
     def to_json(self) -> list:
-        return [
-            {"coef": format_rational(c), "perm": list(p.one_indexed())}
-            for c, p in self.terms
-        ]
+        s = self._scale
+        out = []
+        for c, p in zip(self._coefs, self._images):
+            g = gcd(c, s)
+            coef = str(c // g) if g == s else f"{c // g}/{s // g}"
+            out.append({"coef": coef, "perm": [i + 1 for i in p]})
+        return out
 
 
 def decompose(a: BistochasticMatrix) -> ConvexDecomposition:
@@ -116,7 +194,9 @@ def decompose(a: BistochasticMatrix) -> ConvexDecomposition:
 
     The work is in integers: the residual starts as A's numerators over
     its scale, the least common multiple of its denominators, and stays
-    an integer matrix; coefficients are emitted as ``Fraction(c, scale)``.
+    an integer matrix; each round's coefficient is an integer over that
+    scale and its permutation an image tuple, which is how the returned
+    ``ConvexDecomposition`` stores them.
     One ``_LexMinMatching`` of the positive support serves every round: a
     round deletes the cells it zeroed, re-matches the freed columns and
     makes least only the columns from the first one the repair changed.
@@ -130,7 +210,8 @@ def decompose(a: BistochasticMatrix) -> ConvexDecomposition:
     residual = [list(row) for row in a.numerators]
     matching = _LexMinMatching([[e > 0 for e in row] for row in residual])
     remaining = scale
-    terms = []
+    coefs = []
+    perms = []
     while remaining > 0:
         images = matching.images
         if images is None:
@@ -143,11 +224,12 @@ def decompose(a: BistochasticMatrix) -> ConvexDecomposition:
             if row[j] == 0:
                 zeroed.append((i, j))
         remaining -= coef
-        terms.append((Fraction(coef, scale), Permutation._unchecked(images)))
+        coefs.append(coef)
+        perms.append(tuple(images))
         matching.delete(zeroed)
     if any(e != 0 for row in residual for e in row):
         raise RuntimeError("decomposition left a nonzero residual")
-    return ConvexDecomposition(terms)
+    return ConvexDecomposition._from_integers(scale, coefs, perms)
 
 
 def reduce_affine(d: ConvexDecomposition) -> ConvexDecomposition:
@@ -155,14 +237,16 @@ def reduce_affine(d: ConvexDecomposition) -> ConvexDecomposition:
 
     Repeatedly finds a zero-sum annihilating coefficient vector b for the
     support, moves the weights as far along b as nonnegativity allows
-    (t = min c_i/|b_i|), drops the zeroed terms and repeats.  Already
-    affinely independent input is returned unchanged.
+    (t = min c_i/|b_i|), drops the zeroed terms and repeats.  Independence
+    is decided on the image tuples, so already affinely independent input
+    (every greedy decomposition) is returned unchanged without building
+    its ``terms``.
     """
+    if _independent(d._images, 1):
+        return d
     terms = list(d.terms)
     while True:
         support = [p for _, p in terms]
-        if affine_independent(support):
-            return d if len(terms) == len(d.terms) else ConvexDecomposition(terms)
         beta = _affine_dependency(support)
         alpha, i0 = min(
             (c / abs(b), i) for i, (b, (c, _)) in enumerate(zip(beta, terms)) if b != 0
@@ -172,6 +256,8 @@ def reduce_affine(d: ConvexDecomposition) -> ConvexDecomposition:
         terms = [
             (c + alpha * b, p) for b, (c, p) in zip(beta, terms) if c + alpha * b > 0
         ]
+        if _independent([p.images for _, p in terms], 1):
+            return ConvexDecomposition(terms)
 
 
 def reduce_linear(d: ConvexDecomposition) -> ConvexDecomposition:
@@ -255,16 +341,26 @@ class _LexMinMatching:
         freed = sorted({j for i, j in cells if images[j] == i})
         if not freed:
             return
-        before = list(images)
         for j in freed:
             col_of[images[j]] = None
             images[j] = None
+        # column k changes (its cell is gone) and the searches through the
+        # columns >= k leave the earlier ones alone, so only a search
+        # through every column can move the first changed column below k
         k = freed[0]
+        head = None
         for j in freed:
-            if not (self._augment(j, k) or self._augment(j, 0)):
+            if self._augment(j, k):
+                continue
+            if head is None:
+                head = images[:k]
+            if not self._augment(j, 0):
                 self.images = None
                 return
-        self._lex_pass(next(j for j, i in enumerate(images) if i != before[j]))
+        j0 = k
+        if head is not None:
+            j0 = next((c for c, i in enumerate(head) if images[c] != i), k)
+        self._lex_pass(j0)
 
     def _augment(self, c0: int, first: int) -> bool:
         """Match the free column c0, re-matching only columns >= ``first``.

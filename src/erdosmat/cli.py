@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .assignment import delta, frobenius_sq, max_delta_matrix, max_trace
@@ -131,13 +131,84 @@ def _matrix_json(m) -> list:
 
 
 def _emit_json(args, command: str, n: int, payload: dict) -> None:
+    """Print the JSON envelope of a payload, as ``json.dumps(envelope, indent=2)`` would.
+
+    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is
+    set, and that encoder is a nest of closures that every call leaves
+    behind as cyclic garbage.  ``_json_text`` writes the same bytes
+    without either cost.
+    """
     envelope = {
         "command": command,
         "n": n,
         "payload": payload,
         "tool_version": __version__,
     }
-    print(json.dumps(envelope, indent=2))
+    print(_json_text(envelope, "\n"))
+
+
+def _json_text(value, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` for a value nested where ``pad`` is the line break.
+
+    ``pad`` is a newline followed by the value's own indentation.  Lists
+    of plain ints or of plain strs are joined in one ``str.join``; strings
+    are escaped by ``json``'s own ``encode_basestring_ascii``, and numbers
+    written as ``json`` writes them (``int.__repr__``, ``float.__repr__``,
+    ``NaN``, ``Infinity``, ``-Infinity``).
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            items = map(int.__repr__, value)
+        elif kinds == {str}:
+            items = map(encode_basestring_ascii, value)
+        else:
+            items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [
+            encode_basestring_ascii(_json_key(k)) + ": " + _json_text(v, inner)
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json`` writes it: a str as it is, a scalar as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _json_text(key, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _fmt(args, value) -> str:

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
-from .rational import as_rational, format_rational, parse_ratio
+from .rational import _RATIONAL_RE, as_rational, format_rational, parse_ratio
 
 
 class SingularMatrixError(ValueError):
@@ -471,25 +471,30 @@ def frobenius_inner(a: Matrix, b: Matrix) -> Fraction:
     return Fraction(total, a.scale * b.scale)
 
 
-def _peel(perms) -> list:
+def _peel(images) -> list:
     """Indices of the permutations left once private entries are peeled off.
 
+    ``images`` holds the permutations' image tuples, of one length n.
     Repeatedly removes a permutation that is the only remaining one with
     a 1 in some cell, until none is; the indices of the rest (the core)
-    come back in input order.  Each cell keeps the set of remaining
+    come back in input order.  Peeling in input order is tried first:
+    when every permutation holds a cell that no later one uses, all of
+    them peel off, and the test is one subset check and one union per
+    permutation, on sets of cell numbers.  Greedy Birkhoff output always
+    passes it.  Otherwise each cell keeps the set of remaining
     permutations through it, so the whole peel costs O(m n).
     """
-    n = perms[0].n
+    n = len(images[0])
+    offsets = range(0, n * n, n)
+    # cell (i, j) is numbered j * n + i
+    cells = [set(map(add, p, offsets)) for p in images]
+    if _peels_in_order(cells):
+        return []
     through = [set() for _ in range(n * n)]
-    cells = []
-    for k, p in enumerate(perms):
-        if p.n != n:
-            raise ValueError(f"mixed dimensions: S_{n} vs S_{p.n}")
-        mine = [i * n + j for j, i in enumerate(p.images)]
-        cells.append(mine)
+    for k, mine in enumerate(cells):
         for c in mine:
             through[c].add(k)
-    alive = [True] * len(perms)
+    alive = [True] * len(images)
     lonely = [c for c, ks in enumerate(through) if len(ks) == 1]
     while lonely:
         ks = through[lonely.pop()]
@@ -505,31 +510,52 @@ def _peel(perms) -> list:
     return [k for k, a in enumerate(alive) if a]
 
 
-def _independent(perms, extra) -> bool:
+def _peels_in_order(cells) -> bool:
+    """Whether each cell set holds a cell that none of the later ones holds."""
+    later = set()
+    for mine in reversed(cells):
+        if mine <= later:
+            return False
+        later |= mine
+    return True
+
+
+def _independent(images, extra) -> bool:
     """Whether the flattenings, each followed by ``extra`` if given, are independent.
 
+    ``images`` holds the permutations' image tuples, of one length.
     Peeling keeps the answer: if a permutation is the only one with a 1 in
     some cell, that cell's equation alone forces its coefficient to zero in
     any annihilating vector, so the set is independent exactly when the
     rest is.  Bareiss elimination then runs on the core only.
     """
-    perms = list(perms)
-    if not perms:
+    if not images:
         return True
-    core = _peel(perms)
+    core = _peel(images)
     if not core:
         return True
-    n = perms[0].n
+    n = len(images[0])
     rows = []
     for k in core:
         row = [0] * (n * n)
-        for j, i in enumerate(perms[k].images):
+        for j, i in enumerate(images[k]):
             row[i * n + j] = 1
         if extra is not None:
             row.append(extra)
         rows.append(row)
     pivots, _ = _forward_eliminate(rows)
     return len(pivots) == len(rows)
+
+
+def _image_tuples(perms) -> list:
+    """The image tuples of ``perms``, which must share one dimension."""
+    images = [p.images for p in perms]
+    if images:
+        n = len(images[0])
+        for p in images:
+            if len(p) != n:
+                raise ValueError(f"mixed dimensions: S_{n} vs S_{len(p)}")
+    return images
 
 
 def linear_independent(perms) -> bool:
@@ -540,7 +566,7 @@ def linear_independent(perms) -> bool:
     nothing.  Greedy ``birkhoff.decompose`` output peels to nothing,
     since each of its terms is alone on the entry it zeroed.
     """
-    return _independent(perms, None)
+    return _independent(_image_tuples(perms), None)
 
 
 def affine_independent(perms) -> bool:
@@ -551,7 +577,7 @@ def affine_independent(perms) -> bool:
     holds unchanged, since it reads only the cell coordinates, so the
     augmented elimination runs on the peeled core alone.
     """
-    return _independent(perms, 1)
+    return _independent(_image_tuples(perms), 1)
 
 
 def parse_matrix(text: str, bistochastic: bool = False) -> Matrix:
@@ -559,32 +585,51 @@ def parse_matrix(text: str, bistochastic: bool = False) -> Matrix:
 
     One row per line, entries as rational literals separated by
     whitespace; ``#`` begins a comment line and blank lines are ignored.
-    Each literal becomes a reduced ``(p, q)`` pair, and the matrix is
-    built from integer numerators over the least common denominator.
+    Each line's tokens are matched against the literal grammar in one
+    pass and read as ``(p, q)`` pairs, not reduced: the matrix is built
+    from the numerators over the least common multiple of the q, and
+    ``Matrix._from_numerators`` divides out their common gcd, which
+    leaves the least common multiple of the reduced denominators.  A line
+    with a bad token is read again token by token through
+    ``rational.parse_ratio``, only to word the error.
     """
+    fullmatch = _RATIONAL_RE.fullmatch
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        entries = []
-        for col, token in enumerate(line.split(), start=1):
-            try:
-                entries.append(parse_ratio(token))
-            except ValueError as exc:
-                raise MatrixParseError(f"line {lineno}, entry {col}: {exc}") from exc
-        rows.append((lineno, entries))
+        tokens = line.split()
+        matches = list(map(fullmatch, tokens))
+        if None in matches:
+            _parse_error(lineno, tokens)
+        try:
+            ps = [int(m[1]) for m in matches]
+            qs = [int(m[2] or 1) for m in matches]
+        except ValueError:  # a literal with more digits than int() converts
+            _parse_error(lineno, tokens)
+        if 0 in qs:
+            _parse_error(lineno, tokens)
+        rows.append((lineno, ps, qs))
     if not rows:
         raise MatrixParseError("no matrix rows found in input")
     width = len(rows[0][1])
-    for lineno, entries in rows:
-        if len(entries) != width:
-            raise MatrixParseError(
-                f"line {lineno}: {len(entries)} entries, expected {width}"
-            )
-    scale = lcm(*(q for _, entries in rows for _, q in entries))
-    nums = [[p * (scale // q) for p, q in entries] for _, entries in rows]
+    for lineno, ps, _ in rows:
+        if len(ps) != width:
+            raise MatrixParseError(f"line {lineno}: {len(ps)} entries, expected {width}")
+    scale = lcm(*{q for _, _, qs in rows for q in qs})
+    nums = [[p * (scale // q) for p, q in zip(ps, qs)] for _, ps, qs in rows]
     return (BistochasticMatrix if bistochastic else Matrix)._from_numerators(scale, nums)
+
+
+def _parse_error(lineno: int, tokens) -> None:
+    """Raise the ``MatrixParseError`` for the first bad token of a line."""
+    for col, token in enumerate(tokens, start=1):
+        try:
+            parse_ratio(token)
+        except ValueError as exc:
+            raise MatrixParseError(f"line {lineno}, entry {col}: {exc}") from exc
+    raise AssertionError(f"line {lineno} has no bad token")
 
 
 def format_matrix(m: Matrix) -> str:

@@ -11,8 +11,10 @@ optional *additional* renderings in the CLI.
 This module owns the text grammar shared by matrix files, JSON payloads
 and the CLI: ``p`` or ``p/q`` in ASCII digits, with an optional leading
 minus and a nonzero denominator (``3/6`` parses to ``1/2``, ``-0/5`` to
-``0``).  ``parse_ratio`` reads a literal as a reduced integer pair, which
-is what the matrix parser uses, and ``parse_rational`` as a ``Fraction``.
+``0``).  ``parse_ratio`` reads a literal as a reduced integer pair and
+``parse_rational`` as a ``Fraction``; the matrix parser matches whole
+lines of literals against the same ``_RATIONAL_RE`` and calls
+``parse_ratio`` only to word an error.
 """
 
 from __future__ import annotations

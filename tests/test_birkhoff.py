@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -19,6 +20,7 @@ from erdosmat.linalg import (
     linear_independent,
 )
 from erdosmat.perms import Permutation, all_permutations
+from erdosmat.rational import format_rational
 from erdosmat.sampling import random_bistochastic, random_permutation
 
 from conftest import oracle_decompose, oracle_lex_min_matching
@@ -253,3 +255,89 @@ def test_immutability():
     d = decompose(BistochasticMatrix.uniform(2))
     with pytest.raises(AttributeError):
         d.terms = ()
+
+
+def _random_terms(rng, n, m, denominators):
+    """m distinct permutations of S_n with positive weights summing to 1."""
+    perms = set()
+    while len(perms) < m:
+        perms.add(random_permutation(n, rng))
+    raw = [F(rng.randint(1, 50), rng.choice(denominators)) for _ in range(m)]
+    total = sum(raw)
+    return [(w / total, p) for w, p in zip(raw, sorted(perms))]
+
+
+def test_integer_and_term_decompositions_agree():
+    rng = random.Random(97)
+    denominators = (1, 2, 6, 1_000_003, 999_983)
+    built = 0
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, min(6, len(all_permutations(n))))
+        terms = _random_terms(rng, n, m, denominators)
+        a = ConvexDecomposition(terms)
+        # the same coefficients over a scale that is a multiple of theirs
+        k = rng.randint(1, 12)
+        scale = k * lcm(*(c.denominator for c, _ in terms))
+        coefs = [c.numerator * (scale // c.denominator) for c, _ in terms]
+        b = ConvexDecomposition._from_integers(scale, coefs, [p.images for _, p in terms])
+        assert b._terms is None
+        assert a == b and b == a and hash(a) == hash(b)
+        assert b.to_json() == a.to_json() == [
+            {"coef": format_rational(c), "perm": list(p.one_indexed())} for c, p in terms]
+        assert b.matrix() == a.matrix() == BistochasticMatrix.combination(terms)
+        assert b._terms is None  # none of the above built the Fraction terms
+        assert len(b) == len(a) == m and b.n == a.n == n
+        assert b.terms == a.terms == tuple(terms)
+        assert b.weights == a.weights and b.support == a.support
+        assert list(b) == list(a) and repr(b) == repr(a)
+        built += 1
+        # one coefficient moved to another term, or one permutation
+        # changed, is a different decomposition
+        changed = [p.images for _, p in terms]
+        changed[-1] = changed[-1][1:] + changed[-1][:1]
+        if n > 1 and len(set(changed)) == m:
+            other = ConvexDecomposition._from_integers(scale, coefs, changed)
+            assert other != a and other.to_json() != a.to_json()
+        if m > 1:
+            moved = [coefs[0] + 1, coefs[1] - 1] + coefs[2:]
+            if moved[1] > 0:
+                other = ConvexDecomposition._from_integers(
+                    scale, moved, [p.images for _, p in terms])
+                assert other != a and other.to_json() != a.to_json()
+    assert built == 150
+
+
+def test_decompose_builds_terms_only_when_read(ref):
+    d = decompose(ref["R"])
+    assert d._terms is None
+    assert reduce_linear(d) is d and reduce_affine(d) is d
+    assert d.matrix() == ref["R"] and len(d.to_json()) == len(d) == 3
+    assert d._terms is None
+    assert d == ConvexDecomposition(d.terms) and d._terms is not None
+    assert d.terms == oracle_decompose(ref["R"])
+
+
+def test_integer_constructor_messages_match_term_constructor():
+    p = Permutation.identity(2)
+    q = Permutation.from_cycles(2, (1, 2))
+    big, other = 1_000_003, 999_983
+    scale = big * other
+    cases = [
+        # (terms, scale, integer coefficients, message)
+        ([(F(1, big), p), (F(1, other), q)], scale, [other, big],
+         "coefficients sum to 1999986/999985999949, expected 1"),
+        ([(F(1, 2), p), (F(1, 3), q)], 6, [3, 2], "coefficients sum to 5/6, expected 1"),
+        ([(F(1, 2), p), (F(-1, big), q)], 2 * big, [big, -2], f"coefficient -1/{big} is not positive"),
+        ([(F(0), p), (F(1), q)], other, [0, other], "coefficient 0 is not positive"),
+        ([(F(1, 2), q), (F(1, 2), q)], 2, [1, 1], "duplicate permutation (1 2)"),
+        ([(F(big - 1, big), p), (F(1, big), q), (F(1, other), p)], scale,
+         [(big - 1) * other, other, big], "duplicate permutation id"),
+        ([], 1, [], "decomposition needs at least one term"),
+    ]
+    for terms, s, coefs, message in cases:
+        with pytest.raises(ValueError) as by_terms:
+            ConvexDecomposition(terms)
+        with pytest.raises(ValueError) as by_integers:
+            ConvexDecomposition._from_integers(s, coefs, [t.images for _, t in terms])
+        assert str(by_terms.value) == str(by_integers.value) == message

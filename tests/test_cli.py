@@ -258,3 +258,108 @@ def test_stdin_input(monkeypatch, capsys):
 def test_format_matrix_alignment_reparses():
     a = BistochasticMatrix.uniform(3)
     assert parse_matrix(format_matrix(a), bistochastic=True) == a
+
+
+_SCALARS = (
+    0, 1, -7, 10**40, -(10**300), True, False, None,
+    0.0, -0.0, 1.5, -2.25e-300, 1e308, float("nan"), float("inf"), float("-inf"),
+    "", "plain", 'quote " and backslash \\', "tab\tnewline\ncr\r", "\x00\x01\x1f\x7f",
+    "é ü ß", "∑ 中文", "\U0001f600 astral", "\ud800 lone surrogate", "/slash",
+)
+_KEYS = ("k", "", "é", 'a"b', 0, -3, 10**30, 2.5, float("nan"), float("inf"), -0.0,
+         True, False, None)
+
+
+def _random_payload(rng, depth):
+    roll = rng.random()
+    if depth >= 4 or roll < 0.35:
+        return rng.choice(_SCALARS)
+    if roll < 0.5:  # lists of one plain type take the single-join path
+        kind = rng.choice((int, str))
+        values = [rng.choice([v for v in _SCALARS if type(v) is kind])
+                  for _ in range(rng.randint(0, 5))]
+        return tuple(values) if rng.random() < 0.3 else values
+    if roll < 0.75:
+        values = [_random_payload(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        return tuple(values) if rng.random() < 0.3 else values
+    return {rng.choice(_KEYS): _random_payload(rng, depth + 1)
+            for _ in range(rng.randint(0, 4))}
+
+
+def test_json_writer_matches_json_dumps_on_random_payloads():
+    import random
+
+    rng = random.Random(113)
+    kinds = set()
+    for _ in range(2500):
+        payload = _random_payload(rng, 0)
+        assert cli._json_text(payload, "\n") == json.dumps(payload, indent=2)
+        kinds.add(type(payload).__name__)
+    assert kinds >= {"list", "tuple", "dict", "str", "int", "float", "bool", "NoneType"}
+    # nested the way an envelope nests them
+    for payload in ([], {}, (), [[]], {"a": {}}, [1, [2, [3, ["x"]]]], {1: [1.0, True]}):
+        envelope = {"payload": payload}
+        assert cli._json_text(envelope, "\n") == json.dumps(envelope, indent=2)
+
+
+def test_json_writer_rejects_what_json_dumps_rejects():
+    for bad in (object(), {1, 2}, b"bytes", Fraction(1, 2), [1, {"k": object()}]):
+        with pytest.raises(TypeError) as ours:
+            cli._json_text(bad, "\n")
+        with pytest.raises(TypeError) as theirs:
+            json.dumps(bad, indent=2)
+        assert str(ours.value) == str(theirs.value)
+    with pytest.raises(TypeError) as ours:
+        cli._json_text({(1, 2): 3}, "\n")
+    with pytest.raises(TypeError) as theirs:
+        json.dumps({(1, 2): 3}, indent=2)
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_every_subcommand_payload_matches_json_dumps(r_file, monkeypatch, capsys):
+    written = []
+    writer = cli._json_text
+
+    def recording(value, pad):
+        text = writer(value, pad)
+        if pad == "\n":  # an envelope, not one of its nested values
+            written.append(value)
+            assert text == json.dumps(value, indent=2)
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", recording)
+    calls = [
+        ["verify", r_file], ["verify", r_file, "--method", "brute"],
+        ["enumerate", "-n", "3", "--quiet"],
+        ["decompose", r_file, "--reduce", "none"], ["decompose", r_file, "--reduce", "linear"],
+        ["canon", r_file], ["family", "4"], ["bound", "5"],
+        ["omega2", "1/8"], ["omega2", "0"], ["maxdelta", "3"],
+    ]
+    for argv in calls:
+        for approx in ([], ["--approx"]):
+            assert main(argv + ["--format", "json"] + approx) in (0, 1)
+    assert [env["command"] for env in written] == [
+        argv[0] for argv in calls for _ in range(2)]
+    capsys.readouterr()
+
+
+def test_cli_calls_leave_no_cyclic_garbage(r_file, capsys):
+    import gc
+
+    calls = [
+        ["verify", r_file, "--format", "json"], ["verify", r_file],
+        ["decompose", r_file, "--reduce", "linear", "--format", "json"],
+        ["decompose", r_file, "--reduce", "none"],
+    ]
+    enabled = gc.isenabled()
+    for argv in calls:
+        main(argv)  # warm: parser built, caches filled
+        gc.collect()
+        gc.disable()
+        try:
+            main(argv)
+            assert gc.collect() == 0, argv
+        finally:
+            if enabled:
+                gc.enable()
+    capsys.readouterr()

@@ -12,7 +12,9 @@ from erdosmat.linalg import (
     NotBistochasticError,
     SingularMatrixError,
     _forward_eliminate,
+    _independent,
     _peel,
+    _peels_in_order,
     affine_independent,
     det,
     format_matrix,
@@ -27,8 +29,8 @@ from erdosmat.linalg import (
     solve_tall,
 )
 from erdosmat.perms import Permutation, all_permutations
-from erdosmat.rational import format_rational
-from erdosmat.sampling import random_bistochastic
+from erdosmat.rational import format_rational, parse_ratio, parse_rational
+from erdosmat.sampling import random_bistochastic, random_permutation
 
 from conftest import gauss_jordan_solve, naive_rank, unpeeled_independent
 
@@ -206,10 +208,10 @@ def test_peeled_independence_matches_unpeeled_oracle():
     assert not linear_independent(all_permutations(3))
     assert not affine_independent(_s4_square())
     # all of S_3 and the S_4 square keep their whole set as the core
-    assert _peel(all_permutations(3)) == list(range(6))
-    assert _peel(_s4_square()) == [0, 1, 2, 3]
+    assert _peel([p.images for p in all_permutations(3)]) == list(range(6))
+    assert _peel([p.images for p in _s4_square()]) == [0, 1, 2, 3]
     # (13) is alone on cell (1, 3): it peels off, leaving the dependent square
-    assert _peel(square_plus) == [0, 1, 2, 3]
+    assert _peel([p.images for p in square_plus]) == [0, 1, 2, 3]
     assert not linear_independent(square_plus)
 
 
@@ -231,8 +233,53 @@ def test_greedy_decomposition_peels_to_empty_core(ref):
         matrices += [random_bistochastic(n, rng, max_terms=3 * n) for _ in range(4)]
     for a in matrices:
         support = list(decompose(a).support)
-        assert _peel(support) == []
+        assert _peel([p.images for p in support]) == []
         assert unpeeled_independent(support, affine=True)
+
+
+def test_input_order_peel_matches_unpeeled_oracle():
+    rng = random.Random(47)
+    cases = [all_permutations(3), _s4_square(), _s4_square() + [Permutation.from_cycles(4, (1, 3))]]
+    # a repeated permutation is a dependency, whatever else is in the set
+    p, q = Permutation.from_cycles(4, (1, 2)), Permutation.from_cycles(4, (2, 3, 4))
+    cases += [[p, p], [q, p, p], [p, q, p], [p, p, q]]
+    for n in range(2, 7):
+        group = all_permutations(n) if n < 6 else None
+        for _ in range(40):
+            m = rng.randint(1, (n - 1) ** 2 + 3)
+            if group is not None and rng.random() < 0.5:
+                perms = rng.sample(group, min(m, len(group)))
+            else:
+                perms = list({random_permutation(n, rng) for _ in range(m)})
+            cases.append(perms)
+        for _ in range(15):
+            # greedy output peels in input order; reversed or shuffled it
+            # often peels only in another order
+            support = list(decompose(random_bistochastic(n, rng, max_terms=3 * n)).support)
+            cases.append(support)
+            cases.append(support[::-1])
+            cases.append(rng.sample(support, len(support)))
+    seen = {"in order": 0, "another order": 0, "dependent": 0}
+    for perms in cases:
+        images = [p.images for p in perms]
+        n = len(images[0])
+        cells = [{j * n + i for j, i in enumerate(p)} for p in images]
+        in_order = _peels_in_order(cells)
+        # every term has a cell that no later term has
+        assert in_order == all(
+            cells[k] - set().union(*cells[k + 1:]) for k in range(len(cells)))
+        lin = unpeeled_independent(perms)
+        assert lin == unpeeled_independent(perms, affine=True)
+        assert _independent(images, None) == _independent(images, 1) == lin
+        if in_order:
+            assert lin and _peel(images) == []
+            seen["in order"] += 1
+        elif _peel(images) == []:
+            assert lin
+            seen["another order"] += 1
+        elif not lin:
+            seen["dependent"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_kernel_vector():
@@ -513,6 +560,59 @@ def test_parse_and_shape_error_messages_word_for_word():
     for empty in ([], [[]]):
         assert _error(Matrix, empty) == (
             "ValueError", "matrix must have at least one row and one column")
+
+
+def test_parse_reads_unreduced_literals_like_parse_ratio():
+    rng = random.Random(107)
+    bistochastic = 0
+    for _ in range(200):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        literals = []
+        for _ in range(nr):
+            row = []
+            for _ in range(nc):
+                p, q = rng.randint(-30, 30), rng.choice((1, 2, 6, 10, 999_983, 1_000_003))
+                k = rng.choice((1, 1, 2, 3, 7))  # unreduced literals too
+                text = f"{p * k}/{q * k}" if rng.random() < 0.8 or q != 1 else str(p)
+                if rng.random() < 0.1:
+                    text = text.replace("-", "-0")  # a leading zero
+                row.append(text)
+            literals.append(row)
+        text = "\n".join(" ".join(row) for row in literals)
+        expected = Matrix([[parse_rational(t) for t in row] for row in literals])
+        got = parse_matrix(text)
+        assert got == expected and got.scale == expected.scale
+        assert got.numerators == expected.numerators
+    for _ in range(100):
+        a = random_bistochastic(rng.randint(1, 7), rng)
+        k = rng.randint(2, 9)
+        text = "\n".join(
+            " ".join(f"{e.numerator * k}/{e.denominator * k}" for e in row) for row in a)
+        assert parse_matrix(text, bistochastic=True) == a
+        bistochastic += 1
+    assert bistochastic == 100
+
+
+def test_parse_errors_are_worded_by_the_token_path():
+    long = "7" * 5000
+    cases = {
+        "1 2\n3 0/00\n": "line 2, entry 2: zero denominator in rational literal '0/00'",
+        "1/0 x\n": "line 1, entry 1: zero denominator in rational literal '1/0'",
+        "1/0 1\n1 1\n": "line 1, entry 1: zero denominator in rational literal '1/0'",
+        "x 1/0\n": "line 1, entry 1: malformed rational literal 'x'",
+        "1 2 3\n4 5\n6 1/0\n": "line 3, entry 2: zero denominator in rational literal '1/0'",
+        "1 2 3\n4 5\n": "line 2: 2 entries, expected 3",
+        "1 2\n1/2 ６\n": "line 2, entry 2: malformed rational literal '６'",
+    }
+    for text, message in cases.items():
+        for bistochastic in (False, True):
+            assert _error(parse_matrix, text, bistochastic) == ("MatrixParseError", message)
+    for text in (f"1 {long}\n", f"1 1/{long}\n"):
+        kind, message = _error(parse_matrix, text)
+        assert kind == "MatrixParseError"
+        with pytest.raises(ValueError) as err:
+            parse_ratio(text.split()[1])
+        assert message == f"line 1, entry 2: {err.value}"
 
 
 def test_numerator_constructor_errors_match_fraction_oracle():
