@@ -6,13 +6,13 @@ Usage, from the root of the repository:
     python3 benchmarks/walk_layers.py [--rounds K] [--baseline DIR]
         [--pairs P] [--out FILE]
 
-One round runs ``enumerate_erdos(n, max_support=cap)`` with one worker
-for every (n, cap) of ``PLAN`` and splits each run's time three ways:
+One round runs ``enumerate_erdos(n, max_support=cap)`` for every
+(n, cap) of ``PLAN`` and splits each run's time three ways:
 ``tables`` is the time spent in ``enumeration.get_tables`` (the tables
 cache is emptied before every run, so this includes building them),
 ``classes`` the time in ``enumeration._build_classes`` (canonical forms
-and re-verification), and ``walk`` the rest of the run: the shard
-prefixes and the walk itself.  A side's figure per layer is the median
+and re-verification), and ``walk`` the rest of the run: the walk
+itself, one ``kernels.run_shard`` call from {I}.  A side's figure per layer is the median
 over ``--rounds`` rounds, in a child process of its own that imports
 ``erdosmat`` from the side's ``src`` directory.
 
@@ -21,8 +21,9 @@ the two sides, ``baseline`` and ``checkout`` (this one), run
 ``--pairs`` times each, alternating which goes first, and the summary
 gives each side's median and quartiles over the pairs.  Each side also
 reports, per run of the plan, a digest of the report's JSON payload
-without ``elapsed_seconds`` and ``rejected_dependent`` (the one counter
-whose meaning may differ between walks), so equal digests show that
+without ``elapsed_seconds``, ``rejected_dependent`` (the one counter
+whose meaning may differ between walks) and ``workers`` (a key that
+older checkouts print), so equal digests show that
 both sides found the same classes, supports, weights, sources and
 counters.  The JSON result, with a header naming the machine, goes to
 stdout or ``--out``.
@@ -44,7 +45,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # (n, max_support): the catalog-n4 workload, the catalog-n5-shallow one,
-# one level deeper at n = 5, and the one-node shards of n = 6
+# one level deeper at n = 5, and the pairs {I, g} of n = 6
 PLAN = ((4, 6), (5, 3), (5, 4), (6, 2))
 LAYERS = ("tables", "walk", "classes")
 
@@ -90,7 +91,7 @@ def one_side(src: str, rounds: int) -> dict:
 
     def digest(payload) -> str:
         kept = {k: v for k, v in payload.items()
-                if k not in ("elapsed_seconds", "rejected_dependent")}
+                if k not in ("elapsed_seconds", "rejected_dependent", "workers")}
         return hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest()[:16]
 
     return {
@@ -159,7 +160,7 @@ def main() -> int:
     result = {
         "benchmark": "walk_layers",
         "machine": machine(),
-        "plan": {"runs": [list(p) for p in PLAN], "workers": 1,
+        "plan": {"runs": [list(p) for p in PLAN],
                  "rounds_per_run": args.rounds, "runs_per_side": len(runs[order[0]])},
         "sides": {
             name: {

@@ -71,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-support", type=int, default=None, metavar="M")
     p.add_argument("--budget", default=None, metavar="DURATION",
                    help="wall-clock limit, e.g. 30s, 10m, 1h")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (default: 1)")
+    p.add_argument("--workers", type=int, default=1, choices=(1,),
+                   help="accepted for older scripts; the walk runs in one process")
     p.add_argument("--quiet", action="store_true", help="suppress progress on stderr")
     _common_flags(p)
     p.set_defaults(func=cmd_enumerate)
@@ -276,13 +276,12 @@ def cmd_enumerate(args) -> int:
             decile = 10 * done // total
             if decile != state["last"]:
                 state["last"] = decile
-                print(f"enumerate n={args.n}: {done}/{total} shards", file=sys.stderr)
+                print(f"enumerate n={args.n}: {done}/{total} subtrees", file=sys.stderr)
 
     report = enumerate_erdos(
         args.n,
         max_support=args.max_support,
         budget=budget,
-        workers=args.workers,
         progress=progress,
     )
     if args.format == "json":
@@ -291,8 +290,7 @@ def cmd_enumerate(args) -> int:
         print(
             f"n={report.n}: {len(report.classes)} classes"
             f" ({'complete' if report.complete else 'TRUNCATED'},"
-            f" {report.elapsed:.2f}s, engine {report.engine},"
-            f" {report.workers} worker(s))"
+            f" {report.elapsed:.2f}s, engine {report.engine})"
         )
         print(
             f"sets visited {report.sets_visited}, rejected:"

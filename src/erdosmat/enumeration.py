@@ -11,11 +11,9 @@ of the Gram system down the tree.  The walk is orderly under conjugation
 equivalent one: it visits only the supports that are lexicographically
 least among their conjugates, and counts each for its whole orbit.
 
-Work is split into shards, each a prefix that one worker walks: {I} and
-every least {I, a} are one-node shards, and every least {I, a, b} roots
-the subtree of its supersets.  Shard results merge by summing counters
-and unioning accepted candidates, which is associative and commutative,
-so complete runs are deterministic for any worker count.  Every emitted
+One call of the walk covers the whole tree in one process: {I}, then
+every least pair {I, a}, then each pair's subtree, so a budgeted run has
+the classes of the smallest supports before it descends.  Every emitted
 class is re-verified through the exact rational pipeline of ``gram``
 after canonicalization.
 """
@@ -28,7 +26,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from multiprocessing import get_context
 
 from . import gram as gram_mod
 from . import kernels
@@ -85,7 +82,6 @@ class EnumerationReport:
     elapsed: float
     complete: bool
     engine: str
-    workers: int
 
     def to_json(self) -> dict:
         return {
@@ -98,7 +94,6 @@ class EnumerationReport:
             "elapsed_seconds": round(self.elapsed, 3),
             "complete": self.complete,
             "engine": self.engine,
-            "workers": self.workers,
         }
 
 
@@ -110,7 +105,7 @@ class _Tables:
     and h, the Frobenius inner product of their matrices.  ``on_perms``
     maps a row-major matrix to its entries on every permutation, n
     consecutive values per rank, as one ``itemgetter`` built once here
-    rather than once per shard.
+    rather than once per walk.
 
     ``conj[k]`` is the rank table of the conjugation ``p -> s p s^-1`` by
     the permutation s of rank k + 1: ``conj[k][r]`` is the rank of the
@@ -296,68 +291,10 @@ def _add_sources(groups: dict, key, count: int, rep) -> None:
             entry[1] = rep
 
 
-class _Collector:
-    """Accumulates counters and accepted candidates during the search."""
-
-    def __init__(self):
-        self.visited = 0
-        self.dep = 0
-        self.neg = 0
-        self.maxtr = 0
-        self.raws: dict = {}
-
-    def merge_counters(self, visited, dep, neg, maxtr):
-        self.visited += visited
-        self.dep += dep
-        self.neg += neg
-        self.maxtr += maxtr
-
-    def merge_raws(self, raws: dict):
-        for key, (count, rep) in raws.items():
-            _add_sources(self.raws, key, count, rep)
-
-    def record_candidate(self, support_ranks, u, s, anum, weight):
-        """File one accepted candidate of ``kernels.run_shard`` under its raw matrix.
-
-        It adds ``weight`` sources: the supports in the conjugacy orbit of
-        ``support_ranks``, whose candidates are all equivalent.
-        """
-        g = gcd(s, *anum)
-        key = (s // g, tuple(v // g for v in anum))
-        rep = (len(support_ranks), tuple(support_ranks), tuple(u), s)
-        _add_sources(self.raws, key, weight, rep)
-
-
-def _shard_batch(args):
-    """Worker entry: run a batch of shard prefixes, return mergeable results.
-
-    {I} and {I, a} are one-node shards, capped at their own size; an
-    {I, a, b} shard walks its supersets up to ``max_support`` elements.
-    ``deadline`` is wall-clock (time.time) so it stays meaningful across
-    worker processes; the walk reads it at the start of every shard and
-    every ``max(1, kernels.CLOCK_WORK // n!)`` tried extensions within one.
-    """
-    n, max_support, deadline, prefixes = args
-    tables = get_tables(n)
-    collector = _Collector()
-    truncated = False
-    for prefix in prefixes:
-        cap = max_support if len(prefix) == 3 else len(prefix)
-        stats, accepted, truncated = kernels.run_shard(tables, prefix, cap, deadline)
-        collector.merge_counters(*stats)
-        for candidate in accepted:
-            collector.record_candidate(*candidate)
-        if truncated:
-            break
-    counters = (collector.visited, collector.dep, collector.neg, collector.maxtr)
-    return counters, collector.raws, truncated
-
-
 def enumerate_erdos(
     n: int,
     max_support: int | None = None,
     budget: float | None = None,
-    workers: int = 1,
     progress=None,
 ) -> EnumerationReport:
     """Enumerate all Erdos classes in dimension n, up to equivalence.
@@ -367,18 +304,18 @@ def enumerate_erdos(
     elements appears; with the default cap (n-1)^2 + 1 that is every
     class.  ``budget`` is a positive wall-clock limit in seconds (``inf``
     sets none); truncated runs report ``complete=False`` with the partial
-    classes still verified.  ``workers`` processes walk the shards.
+    classes still verified.  ``progress(done, total)`` is called once per
+    least pair {I, g} whose subtree the walk has finished.
 
-    Budget slack: the clock is read at the start of every shard and every
-    ``max(1, kernels.CLOCK_WORK // n!)`` tried extensions inside one
-    (1,024 at n = 4, 204 at n = 5, 34 at n = 6), visited or not, so the
-    search stops at most that many extensions past the deadline: on a
-    2-core machine the longest such stretch took 0.02 to 0.06 s at n = 4,
-    0.013 s at n = 5 and 0.008 s at n = 6.  Building the classes after
-    the search (one canonical order per distinct matrix found, about
-    0.08 ms each at n = 5 and 0.35 ms at n = 6) is not cut short and comes
-    on top; at n = 6 a 2 s budget finds about 15 distinct matrices, so the
-    run returns after about 2.02 s.
+    Budget slack: the clock is read every ``max(1, kernels.CLOCK_WORK //
+    n!)`` tried extensions (1,024 at n = 4, 204 at n = 5, 34 at n = 6),
+    visited or not, so the search stops at most that many extensions past
+    the deadline: on a 2-core machine the longest such stretch took 0.02
+    to 0.06 s at n = 4, 0.013 s at n = 5 and 0.008 s at n = 6.  Building
+    the classes after the search (one canonical order per distinct matrix
+    found, about 0.08 ms each at n = 5 and 0.35 ms at n = 6) is not cut
+    short and comes on top; at n = 6 a 2 s budget finds about 15 distinct
+    matrices, so the run returns after about 2.02 s.
     """
     if not 2 <= n <= CANON_CAP:
         raise ValueError(f"enumeration supports 2 <= n <= {CANON_CAP}, got {n}")
@@ -387,80 +324,40 @@ def enumerate_erdos(
         max_support = cap
     if not 1 <= max_support <= cap:
         raise ValueError(f"max_support must lie in [1, {cap}], got {max_support}")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     if budget is not None and not budget > 0:
         raise ValueError(f"budget must be positive, got {budget}")
 
     t0 = time.perf_counter()
     deadline = time.time() + budget if budget is not None else None
     tables = get_tables(n)
-    collector = _Collector()
-    complete = True
-
-    def out_of_time() -> bool:
-        return deadline is not None and time.time() >= deadline
-
-    # every prefix of up to three elements that the walk visits; any two
-    # or three distinct permutation matrices are linearly independent
-    shards = kernels.least_prefixes(tables, min(max_support, 3))
-    done = 0
-
-    def consume(result) -> bool:
-        nonlocal complete, done
-        counters, raws, truncated = result
-        collector.merge_counters(*counters)
-        collector.merge_raws(raws)
-        done += 1
-        if progress is not None:
-            progress(done, n_batches)
-        if truncated:
-            complete = False
-        return complete and not out_of_time()
-
-    if workers == 1:
-        n_batches = len(shards)
-        for prefix in shards:
-            result = _shard_batch((n, max_support, deadline, [prefix]))
-            if not consume(result):
-                break
-    else:
-        batches = [shards[i::workers * 8] for i in range(workers * 8)]
-        batches = [b for b in batches if b]
-        n_batches = len(batches)
-        ctx = get_context("fork")
-        with ctx.Pool(workers) as pool:
-            jobs = [(n, max_support, deadline, batch) for batch in batches]
-            for result in pool.imap(_shard_batch, jobs):
-                if not consume(result):
-                    pool.terminate()
-                    break
-    if out_of_time() and done < n_batches:
-        complete = False
-
-    classes = _build_classes(tables, collector)
+    stats, accepted, truncated = kernels.run_shard(tables, max_support, deadline, progress)
+    classes = _build_classes(tables, accepted)
     elapsed = time.perf_counter() - t0
     return EnumerationReport(
         n=n,
         classes=tuple(classes),
-        sets_visited=collector.visited,
-        rejected_dependent=collector.dep,
-        rejected_negative=collector.neg,
-        rejected_maxtr=collector.maxtr,
+        sets_visited=stats[0],
+        rejected_dependent=stats[1],
+        rejected_negative=stats[2],
+        rejected_maxtr=stats[3],
         elapsed=elapsed,
-        complete=complete,
+        complete=not truncated,
         engine=ENGINE,
-        workers=workers,
     )
 
 
-def _build_classes(tables: _Tables, collector: _Collector) -> list:
-    """Canonicalize raw accepted matrices, deduplicate, and re-verify.
+def _build_classes(tables: _Tables, accepted) -> list:
+    """Canonicalize the walk's accepted candidates, deduplicate, and re-verify.
 
-    A raw key (s, anum) is the matrix anum / s reduced by the gcd of s and
-    every numerator, so s is the LCM of its denominators and equivalent
-    matrices share it; the canonical order of the integer rows of anum
-    then identifies the class without building any ``Fraction``.
+    ``accepted`` lists (support ranks, u, s, anum, weight) as
+    ``kernels.run_shard`` returns them; each adds ``weight`` sources, the
+    supports in the conjugacy orbit of its own, whose candidates are all
+    equivalent.  Candidates are first filed under a raw key (s, anum): the
+    matrix anum / s reduced by the gcd of s and every numerator, so s is
+    the LCM of its denominators and equivalent matrices share it.  The
+    canonical order of the integer rows of each distinct raw matrix then
+    identifies the class without building any ``Fraction``.  A class keeps
+    its least (size, support ranks) representative.
 
     Each class matrix is built from its numerators and re-checked
     independently of the walk: a fresh ``gram.pipeline`` on its support
@@ -469,8 +366,13 @@ def _build_classes(tables: _Tables, collector: _Collector) -> list:
     Erdos verdict, and ``value == frob == common value``.
     """
     n = tables.n
+    raws: dict = {}
+    for support_ranks, u, s, anum, weight in accepted:
+        g = gcd(s, *anum)
+        key = (s // g, tuple(v // g for v in anum))
+        _add_sources(raws, key, weight, (len(support_ranks), support_ranks, u, s))
     grouped: dict = {}
-    for (s, anum), (count, rep) in collector.raws.items():
+    for (s, anum), (count, rep) in raws.items():
         rp, cols = _canonical_order([anum[i * n:(i + 1) * n] for i in range(n)])
         key = (s, tuple(anum[r * n + c] for r in rp for c in cols))
         _add_sources(grouped, key, count, rep)

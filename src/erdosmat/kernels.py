@@ -1,7 +1,7 @@
 """The enumeration walk: one exact, orderly depth-first search over Python ints.
 
-The walk visits the linearly independent supersets of a shard prefix,
-extending by permutations of increasing rank.  One fraction-free
+The walk visits the linearly independent supports that contain the
+identity, extending by permutations of increasing rank.  One fraction-free
 (Bareiss) elimination of the Gram system ``[G | 1]``, grown by one row
 and column per added permutation, does all the linear algebra: its new
 pivot is the Gram determinant of the extended support, which is zero
@@ -128,46 +128,25 @@ class _GramElimination:
         return u
 
 
-def least_prefixes(tables, size: int) -> list:
-    """The supports of at most ``size`` elements that the walk visits.
-
-    They contain the identity and are least in their conjugacy orbit,
-    linear independence aside; they come by increasing size, each size in
-    lexicographic order.  They are built by the orderly descent of
-    ``run_shard``, never by filtering every subset.
-    """
-    bit = tables.bit
-    conj_bits = tables.conj_bits
-    out = []
-
-    def grow(support, mask, images):
-        out.append(support)
-        if len(support) < size:
-            for x in range(support[-1] + 1, len(bit)):
-                child = mask | bit[x]
-                grown = list(map(or_, images, conj_bits[x]))
-                if max(grown) <= child:
-                    grow(support + (x,), child, grown)
-
-    grow((0,), bit[0], list(conj_bits[0]))
-    out.sort(key=len)
-    return out
-
-
-def run_shard(tables, prefix, max_support: int, deadline: float | None = None):
-    """Walk the shard rooted at ``prefix``; return (stats, accepted, truncated).
+# erdosbench/spans.py times the walk under this name, from when it ran
+# one shard of the tree per call
+def run_shard(tables, max_support: int, deadline: float | None = None, progress=None):
+    """Walk every support containing the identity; return (stats, accepted, truncated).
 
     ``tables`` supplies, indexed by permutation rank, ``pos`` (the flat
     positions of each permutation matrix's ones), ``agree`` (pairwise
     agreement counts), ``bit`` and ``conj_bits`` (a rank's bit in a
     support's mask, and the bits of its images under the n! - 1
     nontrivial conjugations), and ``on_perms``, which reads a flat
-    matrix's entries on every permutation in turn.  ``prefix`` holds
-    increasing ranks of a linearly independent support that is least in
-    its conjugacy orbit; ``ValueError`` is raised otherwise.  The prefix is
-    the first node, followed depth first by every independent extension
-    with larger ranks and at most ``max_support`` elements that is least
-    in its orbit, in increasing rank order.
+    matrix's entries on every permutation in turn.  The walk visits {I}
+    first, then every least pair {I, g} in increasing rank order, and
+    then each pair's subtree in turn: depth first, every independent
+    extension with larger ranks and at most ``max_support`` elements that
+    is least in its orbit, in increasing rank order.  Visiting the pairs
+    before any subtree keeps a budgeted run useful: it has every class of
+    two-element support before the first, possibly long, subtree.
+    ``progress(done, total)`` is called after each pair's subtree, total
+    being the number of least pairs.
 
     Masks put rank r at bit ``n! - 1 - r``, so of two supports of one size
     the lexicographically smaller sorted tuple has the larger mask.  The
@@ -181,13 +160,14 @@ def run_shard(tables, prefix, max_support: int, deadline: float | None = None):
     maxtr those among them rejected for a negative weight or for a maximal
     trace above the common value: exactly what a walk over every support
     would count.  dependent counts the dependent extensions tried from
-    visited nodes, each least in its orbit; it is not weighted by orbits.  ``accepted`` lists (support, u, s, anum,
-    weight), the candidate's weights being u/s in lowest terms, anum the
-    row-major entries of sum u_k P_k, the candidate matrix times s, and
-    weight the size of the support's orbit.  The clock (``time.time``) is
-    read every ``max(1, CLOCK_WORK // n!)`` tried extensions, the prefix
-    counting as the first; once ``deadline`` has passed the walk stops
-    with ``truncated`` set, leaving the pending extension uncounted.
+    visited nodes, each least in its orbit; it is not weighted by orbits.
+    ``accepted`` lists (support, u, s, anum, weight), the candidate's
+    weights being u/s in lowest terms, anum the row-major entries of
+    sum u_k P_k, the candidate matrix times s, and weight the size of the
+    support's orbit.  The clock (``time.time``) is read every
+    ``max(1, CLOCK_WORK // n!)`` tried extensions, {I} counting as the
+    first; once ``deadline`` has passed the walk stops with ``truncated``
+    set, leaving the pending extension uncounted.
     """
     pos = tables.pos
     agree = tables.agree
@@ -198,19 +178,11 @@ def run_shard(tables, prefix, max_support: int, deadline: float | None = None):
     on_perms = tables.on_perms
 
     elim = _GramElimination()
-    support = []
-    mask = 0
-    images = [0] * (nperms - 1)
-    for r in prefix:
-        if not elim.push([agree[r][b] for b in support] + [n]):
-            raise ValueError(f"shard prefix {tuple(prefix)} is not linearly independent")
-        support.append(r)
-        mask |= bit[r]
-        images = list(map(or_, images, conj_bits[r]))
-    if max(images) > mask:
-        raise ValueError(f"shard prefix {tuple(prefix)} is not least in its conjugacy orbit")
+    elim.push([n])
+    support = [0]
     stats = [0, 0, 0, 0]
     accepted = []
+    pairs = []
     tried = 0
     every = max(1, CLOCK_WORK // nperms)
 
@@ -242,7 +214,9 @@ def run_shard(tables, prefix, max_support: int, deadline: float | None = None):
         else:
             stats[3] += weight
 
-    def descend(start: int, mask: int, images: list) -> None:
+    def descend(start: int, mask: int, images, found=None) -> None:
+        """Visit the extensions by ranks from ``start`` on; list them in
+        ``found`` if given, else walk their subtrees too."""
         for g in range(start, nperms):
             tick()
             child = mask | bit[g]
@@ -255,16 +229,30 @@ def run_shard(tables, prefix, max_support: int, deadline: float | None = None):
                 continue
             support.append(g)
             visit(nperms // (1 + grown.count(child)))
-            if len(support) < max_support:
+            if found is not None:
+                found.append((g, child, grown))
+            elif len(support) < max_support:
                 descend(g + 1, child, grown)
             support.pop()
             elim.pop()
 
     try:
         tick()
-        visit(nperms // (1 + images.count(mask)))
-        if len(support) < max_support:
-            descend(support[-1] + 1, mask, images)
+        visit(1)  # every conjugation fixes {I}
+        if max_support > 1:
+            descend(1, bit[0], conj_bits[0], pairs)
+        for done, (g, mask, images) in enumerate(pairs, 1):
+            if max_support > 2:
+                elim.push([agree[g][0], n])
+                support.append(g)
+                descend(g + 1, mask, images)
+                support.pop()
+                elim.pop()
+            if progress is not None:
+                progress(done, len(pairs))
+        truncated = False
     except _Deadline:
-        return tuple(stats), accepted, True
-    return tuple(stats), accepted, False
+        truncated = True
+    finally:
+        descend = None  # it calls itself through this name: free the cycle
+    return tuple(stats), accepted, truncated

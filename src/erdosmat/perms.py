@@ -180,16 +180,19 @@ def all_permutations(n: int, cap: int = FULL_ENUMERATION_CAP) -> list:
 def partitions(n: int) -> list:
     """Integer partitions of n as non-increasing tuples, in descending lex order."""
     out = []
-
-    def rec(remaining, largest, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(largest, remaining), 0, -1):
-            rec(remaining - part, part, prefix + [part])
-
-    rec(n, n, [])
+    _partitions_into(n, n, (), out)
     return out
+
+
+def _partitions_into(remaining: int, largest: int, prefix: tuple, out: list) -> None:
+    """Append to ``out`` each partition of ``remaining`` into parts of at
+    most ``largest``, after ``prefix``.  A module-level recursion rather
+    than a closure calling itself, so a call leaves no reference cycle."""
+    if remaining == 0:
+        out.append(prefix)
+        return
+    for part in range(min(largest, remaining), 0, -1):
+        _partitions_into(remaining - part, part, prefix + (part,), out)
 
 
 def conjugacy_class_reps(n: int) -> list:

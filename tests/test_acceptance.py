@@ -62,7 +62,7 @@ def test_criterion_01_n2_catalog():
 
 def test_criterion_02_n3_catalog(ref):
     t0 = time.perf_counter()
-    report = enumerate_erdos(3, workers=1)
+    report = enumerate_erdos(3)
     elapsed = time.perf_counter() - t0
     assert report.complete
     assert len(report.classes) == 6
@@ -78,7 +78,7 @@ def test_criterion_02_n3_catalog(ref):
 
 def test_criterion_03_n4_run(ref):
     t0 = time.perf_counter()
-    report = enumerate_erdos(4, workers=8)
+    report = enumerate_erdos(4)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1800.0
     assert report.complete
@@ -99,7 +99,7 @@ def test_criterion_03_n4_run(ref):
     assert len(partitions(4)) <= len(report.classes) <= equiv_bound
     _ok(
         3,
-        f"n=4 complete on 8 workers in {elapsed:.1f}s; "
+        f"n=4 complete in {elapsed:.1f}s; "
         f"observed class count (not asserted, reported): {len(report.classes)}; "
         f"visited {report.sets_visited}, rejections: "
         f"dependent {report.rejected_dependent}, "

@@ -146,6 +146,23 @@ def test_enumerate_infinite_budget(capsys):
     assert main(["enumerate", "-n", "2", "--budget", "inf", "--quiet"]) == 0
 
 
+def test_enumerate_workers_flag_accepts_only_1(capsys):
+    # --workers stays in the parser for scripts that pass --workers 1;
+    # the walk runs in one process
+    assert main(["enumerate", "-n", "3", "--quiet", "--format", "json"]) == 0
+    without = _json_out(capsys)
+    assert main(["enumerate", "-n", "3", "--quiet", "--format", "json", "--workers", "1"]) == 0
+    with_flag = _json_out(capsys)
+    for env in (without, with_flag):
+        assert "workers" not in env["payload"]
+        env["payload"].pop("elapsed_seconds")
+    assert with_flag == without
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "-n", "3", "--quiet", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 2" in capsys.readouterr().err
+
+
 def test_enumerate_budget_truncates(capsys):
     t0 = time.perf_counter()
     code = main(["enumerate", "-n", "4", "--budget", "0.05s", "--quiet"])
@@ -350,6 +367,8 @@ def test_cli_calls_leave_no_cyclic_garbage(r_file, capsys):
         ["verify", r_file, "--format", "json"], ["verify", r_file],
         ["decompose", r_file, "--reduce", "linear", "--format", "json"],
         ["decompose", r_file, "--reduce", "none"],
+        ["enumerate", "-n", "3", "--quiet", "--format", "json"], ["enumerate", "-n", "3"],
+        ["family", "4", "--format", "json"],
     ]
     enabled = gc.isenabled()
     for argv in calls:

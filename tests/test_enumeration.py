@@ -10,8 +10,6 @@ from erdosmat import kernels
 from erdosmat.assignment import frobenius_sq, is_erdos
 from erdosmat.enumeration import (
     _build_classes,
-    _Collector,
-    _shard_batch,
     canonical_form,
     enumerate_erdos,
     get_tables,
@@ -155,20 +153,24 @@ def test_enumerate_n3_catalog(ref):
     assert report.rejected_maxtr == 0
 
 
-def _record_pipeline(collector, tables, ranks):
-    """File the ``gram.pipeline`` verdict (``Fraction`` arithmetic) on one support."""
+def _record_pipeline(stats, accepted, tables, ranks):
+    """File the ``gram.pipeline`` verdict (``Fraction`` arithmetic) on one support.
+
+    ``stats`` counts (visited, negative, maxtr); an accepted candidate goes
+    to ``accepted`` as ``kernels.run_shard`` lists it, with weight 1.
+    """
     res = pipeline([tables.perms[r] for r in ranks])
-    collector.visited += 1
+    stats[0] += 1
     if res.status == REJECT_NEGATIVE:
-        collector.neg += 1
+        stats[1] += 1
     elif res.status == REJECT_MAXTR:
-        collector.maxtr += 1
+        stats[2] += 1
     else:
         assert res.status == STATUS_OK, (ranks, res.status)
         x = res.solution.x
         s = lcm(*(v.denominator for v in x))
         anum = [int(e * s) for e in res.matrix.flatten()]
-        collector.record_candidate(ranks, tuple(int(v * s) for v in x), s, anum, 1)
+        accepted.append((ranks, tuple(int(v * s) for v in x), s, anum, 1))
 
 
 def test_engines_agree_n3():
@@ -177,20 +179,21 @@ def test_engines_agree_n3():
     # dependent extension exists there), and sizes one and two at n = 5
     for n, max_support in ((3, 5), (5, 2)):
         tables = get_tables(n)
-        collector = _Collector()
+        stats = [0, 0, 0]
+        accepted = []
         for size in range(max_support):
             for rest in itertools.combinations(range(1, len(tables.perms)), size):
-                _record_pipeline(collector, tables, (0,) + rest)
-        classes = _build_classes(tables, collector)
+                _record_pipeline(stats, accepted, tables, (0,) + rest)
+        classes = _build_classes(tables, accepted)
         report = enumerate_erdos(n, max_support=max_support)
         assert report.engine == "int-walk"
         assert report.complete
         assert _report_key(report) == (
             [c.canonical.flatten() for c in classes],
-            collector.visited,
-            collector.dep,
-            collector.neg,
-            collector.maxtr,
+            stats[0],
+            0,
+            stats[1],
+            stats[2],
             [c.sources for c in classes],
             [[p.rank() for p in c.support] for c in classes],
             [c.weights for c in classes],
@@ -198,43 +201,28 @@ def test_engines_agree_n3():
 
 
 def test_build_classes_matches_rowscan_grouping():
-    # an n = 4, max_support = 5 collector, grouped once by _build_classes
-    # and once by the row-scan oracle on each raw matrix; {I} and every
-    # {I, a} come from the rational pipeline, once each, and the walk
-    # shards every least {I, a, b}
+    # the accepted candidates of one whole walk at n = 4, max_support = 5,
+    # grouped once by _build_classes and once by the row-scan oracle on
+    # each candidate matrix
     n = 4
     tables = get_tables(n)
-    collector = _Collector()
-    for ranks in [(0,)] + [(0, a) for a in range(1, 24)]:
-        _record_pipeline(collector, tables, ranks)
-    shards = [p for p in kernels.least_prefixes(tables, 3) if len(p) == 3]
-    counters, raws, truncated = _shard_batch((n, 5, None, shards))
+    _, accepted, truncated = kernels.run_shard(tables, 5)
     assert not truncated
-    collector.merge_counters(*counters)
-    collector.merge_raws(raws)
     expected: dict = {}
-    for (s, anum), (count, rep) in collector.raws.items():
+    for ranks, _, s, anum, weight in accepted:
         a = BistochasticMatrix(
             [[F(anum[i * n + j], s) for j in range(n)] for i in range(n)]
         )
         key = rowscan_canonical_flatten(a)
+        rep = (len(ranks), ranks)
         sources, best = expected.get(key, (0, rep))
-        expected[key] = (sources + count, min(best, rep))
-    classes = _build_classes(tables, collector)
+        expected[key] = (sources + weight, min(best, rep))
+    classes = _build_classes(tables, accepted)
     assert len(classes) == len(expected) == 33
     assert {
         c.canonical.flatten(): (c.sources, tuple(p.rank() for p in c.support))
         for c in classes
     } == {key: (sources, rep[1]) for key, (sources, rep) in expected.items()}
-
-
-def test_workers_do_not_change_results():
-    a = enumerate_erdos(3, workers=1)
-    b = enumerate_erdos(3, workers=2)
-    assert _report_key(a) == _report_key(b)
-    c = enumerate_erdos(4, max_support=4, workers=1)
-    d = enumerate_erdos(4, max_support=4, workers=2)
-    assert _report_key(c) == _report_key(d)
 
 
 def test_class_invariants_and_counters():
@@ -285,8 +273,8 @@ def test_argument_validation():
         enumerate_erdos(3, max_support=6)
     with pytest.raises(TypeError, match="engine"):
         enumerate_erdos(3, engine="numpy")
-    with pytest.raises(ValueError, match="workers"):
-        enumerate_erdos(3, workers=0)
+    with pytest.raises(TypeError, match="workers"):
+        enumerate_erdos(3, workers=1)
     for budget in (0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="budget"):
             enumerate_erdos(3, budget=budget)
@@ -306,7 +294,6 @@ def test_report_json_schema():
         "elapsed_seconds",
         "complete",
         "engine",
-        "workers",
     }
     for entry in payload["classes"]:
         assert set(entry) == {"matrix", "support", "weights", "value", "sources"}

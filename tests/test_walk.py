@@ -18,7 +18,7 @@ import pytest
 
 from conftest import rowscan_canonical_flatten
 from erdosmat import gram, kernels
-from erdosmat.enumeration import _Collector, get_tables
+from erdosmat.enumeration import _build_classes, enumerate_erdos, get_tables
 from erdosmat.linalg import BistochasticMatrix, linear_independent
 from erdosmat.perms import Permutation
 
@@ -99,19 +99,16 @@ def _dependent(records):
 def _walk(n, max_support):
     """Walk stats, accepted {support: weight}, and classes in the oracle's form."""
     tables = get_tables(n)
-    stats, accepted, truncated = kernels.run_shard(tables, (0,), max_support)
+    stats, accepted, truncated = kernels.run_shard(tables, max_support)
     assert not truncated
-    collector = _Collector()
-    for candidate in accepted:
-        collector.record_candidate(*candidate)
     classes = {}
-    for (s, anum), (count, (size, ranks, u, us)) in collector.raws.items():
+    for ranks, u, s, anum, weight in accepted:
         key = rowscan_canonical_flatten(_matrix(n, anum, s))
-        rep = (size, ranks)
-        entry = classes.setdefault(key, [0, rep, tuple(Fraction(w, us) for w in u)])
-        entry[0] += count
+        rep = (len(ranks), ranks)
+        entry = classes.setdefault(key, [0, rep, tuple(Fraction(w, s) for w in u)])
+        entry[0] += weight
         if rep < entry[1]:
-            entry[1:] = [rep, tuple(Fraction(w, us) for w in u)]
+            entry[1:] = [rep, tuple(Fraction(w, s) for w in u)]
     weights = {support: weight for support, _, _, _, weight in accepted}
     assert len(weights) == len(accepted)
     return stats, weights, classes
@@ -163,34 +160,18 @@ def test_walk_matches_oracle_n5_support_3():
 
 @pytest.mark.parametrize("n, max_support", [(3, 5), (4, 5), (5, 3)])
 def test_visited_supports_are_the_least_independent_ones(n, max_support):
+    # the orbit the walk weighs a least support by, n! over its stabiliser
+    # in the conjugation tables, is the oracle's brute-force orbit
     tables = get_tables(n)
-    records = _records(n, max_support)
-    least = sorted((r for r, (is_least, _, _) in records.items() if is_least), key=len)
-    assert kernels.least_prefixes(tables, max_support) == least
-    # a support alone is visited, and weighs its orbit, exactly when it is
-    # independent and least
-    for ranks, (is_least, orbit, res) in records.items():
-        if res is None:
-            continue
-        if is_least:
-            stats, _, _ = kernels.run_shard(tables, ranks, len(ranks))
-            assert stats[0] == orbit == len(tables.pos) // _stabiliser(tables, ranks)
-        else:
-            with pytest.raises(ValueError, match="least in its conjugacy orbit"):
-                kernels.run_shard(tables, ranks, len(ranks))
+    for ranks, (is_least, orbit, res) in _records(n, max_support).items():
+        if is_least and res is not None:
+            assert orbit == len(tables.pos) // _stabiliser(tables, ranks)
 
 
 def _stabiliser(tables, ranks):
     """The conjugations, the identity included, that fix the support."""
     target = set(ranks)
     return 1 + sum(1 for table in tables.conj if {table[r] for r in ranks} == target)
-
-
-def test_shard_prefix_counts():
-    # 277 -> 24 prefixes at n = 4, 7,141 -> 90 at n = 5
-    assert len(kernels.least_prefixes(get_tables(4), 3)) == 24
-    assert len(kernels.least_prefixes(get_tables(5), 3)) == 90
-    assert kernels.least_prefixes(get_tables(2), 3) == [(0,), (0, 1)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -219,17 +200,17 @@ def test_agreement_table_matches_pairwise_count(n):
 
 def test_past_deadline_truncates():
     tables = get_tables(3)
-    stats, accepted, truncated = kernels.run_shard(
-        tables, (0,), 5, deadline=time.time() - 1.0
-    )
+    stats, accepted, truncated = kernels.run_shard(tables, 5, deadline=time.time() - 1.0)
     assert truncated
     assert stats == (0, 0, 0, 0) and accepted == []
 
 
 def _tries(records, nperms, max_support):
-    """The supports the walk tries, in order: the prefix {I}, then depth
-    first every extension by a larger rank of a visited support with room."""
+    """The supports the walk tries, in order: {I}, every pair {I, x}, then
+    each visited pair's subtree: depth first, every extension by a larger
+    rank of a visited support with room."""
     out = [(0,)]
+    out += [(0, x) for x in range(1, nperms)]
 
     def grow(ranks):
         for x in range(ranks[-1] + 1, nperms):
@@ -239,7 +220,10 @@ def _tries(records, nperms, max_support):
             if least and res is not None and len(child) < max_support:
                 grow(child)
 
-    grow((0,))
+    for pair in out[1:]:
+        least, _, res = records[pair]
+        if least and res is not None and max_support > 2:
+            grow(pair)
     return out
 
 
@@ -278,15 +262,54 @@ def test_clock_read_every_clock_every_nodes(monkeypatch):
 
     monkeypatch.setattr(kernels, "CLOCK_WORK", 24)  # 24 // 3! = 4 tries
     monkeypatch.setattr(kernels, "time", Clock)
-    stats, _, truncated = kernels.run_shard(get_tables(3), (0,), 5, deadline=1.0)
+    stats, _, truncated = kernels.run_shard(get_tables(3), 5, deadline=1.0)
     assert truncated
     assert stats == _counted(records, tried[:8])
 
 
+def test_walk_stopped_after_the_pairs_has_the_support_2_classes(monkeypatch):
+    # the walk tries {I} and the n! - 1 pairs before any subtree: with the
+    # clock read on tries 0 and n! only, and past the deadline the second
+    # time, it stops on the first try of the first subtree, and has then
+    # found exactly what the max_support = 2 walk finds
+    n = 4
+    tables = get_tables(n)
+    readings = iter([0.0, 2.0])
+
+    class Clock:
+        @staticmethod
+        def time():
+            return next(readings)
+
+    monkeypatch.setattr(kernels, "CLOCK_WORK", 24 * 24)  # 576 // 4! = 24 tries
+    monkeypatch.setattr(kernels, "time", Clock)
+    stats, accepted, truncated = kernels.run_shard(tables, 5, deadline=1.0)
+    assert truncated
+    pair_stats, pair_accepted, pair_truncated = kernels.run_shard(tables, 2)
+    assert not pair_truncated
+    assert (stats, accepted) == (pair_stats, pair_accepted)
+    classes = {c.canonical.flatten() for c in _build_classes(tables, accepted)}
+    report = enumerate_erdos(n, max_support=2)
+    assert report.complete and len(report.classes) == 5
+    assert classes == {c.canonical.flatten() for c in report.classes}
+
+
+@pytest.mark.parametrize("n, pairs", [(3, 2), (4, 4), (5, 6)])
+def test_progress_once_per_pair_subtree(n, pairs):
+    # one least pair {I, g} per conjugacy class of S_n but the identity's
+    for max_support in (2, 3):
+        calls = []
+        kernels.run_shard(get_tables(n), max_support, progress=lambda *a: calls.append(a))
+        assert calls == [(k, pairs) for k in range(1, pairs + 1)]
+    calls = []
+    kernels.run_shard(get_tables(n), 1, progress=lambda *a: calls.append(a))
+    assert calls == []
+
+
 def test_clock_stride_follows_the_dimension(monkeypatch):
-    # from {I} with cap 2 the walk tries the prefix and all n! - 1
-    # extensions; the clock is read on tries 0, m, 2m, ... with
-    # m = CLOCK_WORK // n! (1,024 at n = 4, 34 at n = 6)
+    # with cap 2 the walk tries {I} and all n! - 1 pairs; the clock is
+    # read on tries 0, m, 2m, ... with m = CLOCK_WORK // n! (1,024 at
+    # n = 4, 34 at n = 6)
     reads = []
 
     class Clock:
@@ -298,16 +321,9 @@ def test_clock_stride_follows_the_dimension(monkeypatch):
     monkeypatch.setattr(kernels, "time", Clock)
     for n, expected in ((4, 1), (5, 1), (6, 22)):
         reads.clear()
-        _, _, truncated = kernels.run_shard(get_tables(n), (0,), 2, deadline=1.0)
+        _, _, truncated = kernels.run_shard(get_tables(n), 2, deadline=1.0)
         assert not truncated
         assert len(reads) == expected
-
-
-def test_dependent_prefix_raises():
-    # the six permutation matrices of S_3 are dependent: even and odd
-    # permutations have the same sum
-    with pytest.raises(ValueError, match="not linearly independent"):
-        kernels.run_shard(get_tables(3), (0, 1, 2, 3, 4, 5), 6)
 
 
 def _state(elim):
