@@ -15,11 +15,11 @@ row, and only the later columns are made least again.  The result is a
 that scale and image tuples, from which ``to_json`` and ``matrix`` read
 directly; its ``(Fraction, Permutation)`` terms are built only when
 read.
-``reduce_affine`` shrinks a decomposition to an
-affinely independent support (Caratheodory-style exchange steps) and
-``reduce_linear`` to a linearly independent one.  For permutation
-matrices the two notions coincide, because every permutation matrix has
-entry sum n, forcing any annihilating coefficient vector to sum to zero.
+``reduce_linear`` shrinks a decomposition to a linearly independent
+support by Caratheodory-style exchange steps on the integer
+coefficients, one elimination per round.  ``reduce_affine`` is the same
+function: every permutation matrix has entry sum n, forcing any
+annihilating coefficient vector to sum to zero.
 
 Greedy output is always independent: each round zeroes an entry that no
 later round uses, so every term is alone on the entry it zeroed, and
@@ -30,9 +30,9 @@ elimination.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .linalg import BistochasticMatrix, Matrix, _independent, kernel_vector
+from .linalg import BistochasticMatrix, _common_denominator, _dependency, _permutation_sum
 from .perms import Permutation
 from .rational import as_rational, format_rational
 
@@ -52,45 +52,32 @@ class ConvexDecomposition:
     __slots__ = ("_scale", "_coefs", "_images", "_terms")
 
     def __init__(self, terms):
-        terms = tuple((as_rational(c), p) for c, p in terms)
-        if not terms:
-            raise ValueError("decomposition needs at least one term")
-        n = terms[0][1].n
-        seen = set()
-        for c, p in terms:
-            if not isinstance(p, Permutation) or p.n != n:
-                raise ValueError("terms must share one permutation dimension")
-            if c <= 0:
-                raise ValueError(f"coefficient {format_rational(c)} is not positive")
-            if p in seen:
-                raise ValueError(f"duplicate permutation {p}")
-            seen.add(p)
-        # summed as integer numerators over the least common denominator;
-        # those are already coprime to it, so no reduction is needed
-        scale = lcm(*(c.denominator for c, _ in terms))
-        coefs = tuple(c.numerator * (scale // c.denominator) for c, _ in terms)
-        total = sum(coefs)
-        if total != scale:
-            raise ValueError(
-                f"coefficients sum to {format_rational(Fraction(total, scale))}, expected 1"
-            )
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_coefs", coefs)
-        object.__setattr__(self, "_images", tuple(p.images for _, p in terms))
-        object.__setattr__(self, "_terms", terms)
+        terms = [(as_rational(c), p) for c, p in terms]
+        for _, p in terms:
+            if not isinstance(p, Permutation):
+                raise ValueError(f"term {p!r} is not a Permutation")
+        scale, coefs = _common_denominator([c for c, _ in terms])
+        self._init(scale, tuple(coefs), tuple(p.images for _, p in terms))
 
     @classmethod
     def _from_integers(cls, scale: int, coefs, images):
-        """The decomposition with terms ``(coefs[k] / scale, images[k])``, for ``scale > 0``.
+        """The decomposition with terms ``(coefs[k] / scale, images[k])``, for ``scale > 0``."""
+        d = object.__new__(cls)
+        d._init(scale, tuple(coefs), tuple(images))
+        return d
 
-        Checks positivity, distinctness and the sum on the integers,
-        building a ``Fraction`` only for an error message, and reduces by
-        the gcd of the scale and every coefficient.
+    def _init(self, scale: int, coefs: tuple, images: tuple) -> None:
+        """Check the terms on the integers and set the fields, reduced by their gcd.
+
+        Each check covers every term before the next: one dimension,
+        positivity, distinctness, the sum.  A ``Fraction`` is built only
+        for an error message.
         """
-        coefs = tuple(coefs)
-        images = tuple(images)
         if not coefs:
             raise ValueError("decomposition needs at least one term")
+        n = len(images[0])
+        if any(len(p) != n for p in images):
+            raise ValueError("terms must share one permutation dimension")
         if min(coefs) <= 0:
             c = next(c for c in coefs if c <= 0)
             raise ValueError(f"coefficient {format_rational(Fraction(c, scale))} is not positive")
@@ -109,12 +96,10 @@ class ConvexDecomposition:
         if g != 1:
             scale //= g
             coefs = tuple(c // g for c in coefs)
-        d = object.__new__(cls)
-        object.__setattr__(d, "_scale", scale)
-        object.__setattr__(d, "_coefs", coefs)
-        object.__setattr__(d, "_images", images)
-        object.__setattr__(d, "_terms", None)
-        return d
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_coefs", coefs)
+        object.__setattr__(self, "_images", images)
+        object.__setattr__(self, "_terms", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ConvexDecomposition is immutable")
@@ -167,12 +152,8 @@ class ConvexDecomposition:
 
     def matrix(self) -> BistochasticMatrix:
         """Exact reconstruction of the combined matrix, summed on the integers."""
-        n = self.n
-        nums = [[0] * n for _ in range(n)]
-        for c, p in zip(self._coefs, self._images):
-            for j, i in enumerate(p):
-                nums[i][j] += c
-        return BistochasticMatrix._from_numerators(self._scale, nums)
+        return BistochasticMatrix._from_numerators(
+            self._scale, _permutation_sum(self._coefs, self._images))
 
     def to_json(self) -> list:
         s = self._scale
@@ -232,67 +213,52 @@ def decompose(a: BistochasticMatrix) -> ConvexDecomposition:
     return ConvexDecomposition._from_integers(scale, coefs, perms)
 
 
-def reduce_affine(d: ConvexDecomposition) -> ConvexDecomposition:
-    """Shrink to an affinely independent support, reconstructing the same matrix.
-
-    Repeatedly finds a zero-sum annihilating coefficient vector b for the
-    support, moves the weights as far along b as nonnegativity allows
-    (t = min c_i/|b_i|), drops the zeroed terms and repeats.  Independence
-    is decided on the image tuples, so already affinely independent input
-    (every greedy decomposition) is returned unchanged without building
-    its ``terms``.
-    """
-    if _independent(d._images, 1):
-        return d
-    terms = list(d.terms)
-    while True:
-        support = [p for _, p in terms]
-        beta = _affine_dependency(support)
-        alpha, i0 = min(
-            (c / abs(b), i) for i, (b, (c, _)) in enumerate(zip(beta, terms)) if b != 0
-        )
-        if beta[i0] > 0:
-            beta = [-b for b in beta]
-        terms = [
-            (c + alpha * b, p) for b, (c, p) in zip(beta, terms) if c + alpha * b > 0
-        ]
-        if _independent([p.images for _, p in terms], 1):
-            return ConvexDecomposition(terms)
-
-
 def reduce_linear(d: ConvexDecomposition) -> ConvexDecomposition:
     """Shrink to a linearly independent support, reconstructing the same matrix.
 
-    This is ``reduce_affine``: an affinely independent set of permutation
-    matrices is linearly independent.  If sum b_i P_i = 0, summing all
-    entries gives n * sum b_i = 0, because every permutation matrix has
-    entry sum n; so b is a zero-sum dependency, and affine independence
-    forces b = 0.
+    Each round takes one integer dependency b of the support
+    (``linalg._dependency``) and, with i0 the first index minimizing
+    ``c_i / |b_i|`` over ``b_i != 0``, moves each c_k to
+    ``c_k - c_i0 b_k / b_i0``: the matrix is unchanged, the weights stay
+    nonnegative and sum to one (b sums to zero, see ``reduce_affine``),
+    and c_i0 is zeroed.  On the integers that is ``c_k b_i0 - c_i0 b_k``
+    over the scale times b_i0, made positive and reduced by the gcd.
+    Zeroed terms are dropped until no dependency is left; independent
+    input, such as every greedy decomposition, comes back unchanged.
+    No ``terms`` are built.
     """
-    return reduce_affine(d)
-
-
-def _affine_dependency(support):
-    """A nonzero coefficient vector with zero sum annihilating the support."""
-    n = support[0].n
-    rows = [[0] * len(support) for _ in range(n * n)] + [[1] * len(support)]
-    for k, p in enumerate(support):
-        for j, i in enumerate(p.images):
-            rows[i * n + j][k] = 1
-    beta = kernel_vector(Matrix._from_numerators(1, rows))
+    beta = _dependency(d._images)
     if beta is None:
-        raise RuntimeError("affinely dependent support has no dependency vector")
-    return list(beta)
+        return d
+    scale, coefs, images = d._scale, d._coefs, d._images
+    while beta is not None:
+        i0 = None
+        for i, b in enumerate(beta):
+            if b and (i0 is None or coefs[i] * abs(beta[i0]) < coefs[i0] * abs(b)):
+                i0 = i
+        m, t = beta[i0], coefs[i0]
+        if m < 0:
+            m, t = -m, -t
+        moved = [c * m - t * b for c, b in zip(coefs, beta)]
+        images = [p for c, p in zip(moved, images) if c]
+        coefs = [c for c in moved if c]
+        g = gcd(scale * m, *coefs)
+        scale = scale * m // g
+        coefs = [c // g for c in coefs]
+        beta = _dependency(images)
+    return ConvexDecomposition._from_integers(scale, coefs, images)
 
 
-def _lex_min_matching(allowed):
-    """Lexicographically smallest perfect matching images[j] = row of column j.
+def reduce_affine(d: ConvexDecomposition) -> ConvexDecomposition:
+    """Shrink to an affinely independent support: this is ``reduce_linear``.
 
-    ``allowed[i][j]`` says whether row i may serve column j; None when no
-    perfect matching exists.  Built from scratch; ``decompose`` keeps a
-    ``_LexMinMatching`` across its rounds instead.
+    For permutation matrices the two notions coincide.  If
+    ``sum b_i P_i = 0``, summing all entries gives ``n sum b_i = 0``,
+    because every permutation matrix has entry sum n; so every linear
+    dependency is a zero-sum one, and an affinely independent set is
+    linearly independent.
     """
-    return _LexMinMatching(allowed).images
+    return reduce_linear(d)
 
 
 class _LexMinMatching:

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .assignment import delta, frobenius_sq, max_delta_matrix, max_trace
-from .birkhoff import decompose, reduce_affine, reduce_linear
+from .birkhoff import decompose, reduce_linear
 from .enumeration import canonical_form, enumerate_erdos
 from .gram import count_bound, half_identity_family
 from .linalg import (
@@ -312,9 +312,8 @@ def cmd_enumerate(args) -> int:
 def cmd_decompose(args) -> int:
     a = _read_matrix(args.file)
     d = decompose(a)
-    if args.reduce == "affine":
-        d = reduce_affine(d)
-    elif args.reduce == "linear":
+    if args.reduce != "none":
+        # affine and linear independence coincide for permutation matrices
         d = reduce_linear(d)
     if d.matrix() != a:
         raise RuntimeError("decomposition failed to reconstruct the input")

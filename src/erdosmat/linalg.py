@@ -18,7 +18,10 @@ by a pivot search finding only zeros, never by tolerance.
 Independence of permutation matrices is decided the same way after a
 peeling pass: a permutation that is the only one with a 1 in some cell
 has a zero coefficient in every dependency, so it is set aside and only
-the remaining core is eliminated.
+the remaining core is eliminated, once, by ``_dependency``.  Linear and
+affine independence are that one test, since every permutation matrix
+has entry sum n.  Every ``sum c_k P_k`` is assembled on integers by
+``_permutation_sum``.
 """
 
 from __future__ import annotations
@@ -61,10 +64,8 @@ class Matrix:
         for i, row in enumerate(data):
             if len(row) != width:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {width}")
-        scale = lcm(*(e.denominator for row in data for e in row))
-        nums = tuple(
-            tuple(e.numerator * (scale // e.denominator) for e in row) for row in data
-        )
+        scale, flat = _common_denominator([e for row in data for e in row])
+        nums = tuple(tuple(flat[k:k + width]) for k in range(0, len(flat), width))
         object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_nums", nums)
         object.__setattr__(self, "_rows", data)
@@ -254,15 +255,31 @@ class BistochasticMatrix(Matrix):
 
         Summed in integers over the least common denominator of the c_i.
         """
-        terms = [(as_rational(c), p) for c, p in terms]
-        n = terms[0][1].n
-        scale = lcm(*(c.denominator for c, _ in terms))
-        nums = [[0] * n for _ in range(n)]
-        for c, p in terms:
-            k = c.numerator * (scale // c.denominator)
-            for j, i in enumerate(p.images):
-                nums[i][j] += k
-        return BistochasticMatrix._from_numerators(scale, nums)
+        terms = list(terms)
+        if not terms:
+            raise ValueError("combination needs at least one term")
+        scale, coefs = _common_denominator([as_rational(c) for c, _ in terms])
+        images = _image_tuples([p for _, p in terms])
+        return BistochasticMatrix._from_numerators(scale, _permutation_sum(coefs, images))
+
+
+def _common_denominator(values) -> tuple:
+    """(scale, nums): the rationals ``values`` as integers over their least common denominator."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _permutation_sum(coefs, images) -> list:
+    """Integer rows of ``sum_k coefs[k] P_k``, P_k with its ones at (images[k][j], j).
+
+    ``images`` holds at least one image tuple, all of one length.
+    """
+    n = len(images[0])
+    nums = [[0] * n for _ in range(n)]
+    for c, p in zip(coefs, images):
+        for j, i in enumerate(p):
+            nums[i][j] += c
+    return nums
 
 
 def _identity_rows(n: int) -> list:
@@ -445,22 +462,31 @@ def kernel_vector(m: Matrix):
 
     Deterministic: the first free column (in order) is set to 1.
     """
-    rows = [list(row) for row in m.numerators]
-    pivots, _ = _forward_eliminate(rows)
-    nc = m.ncols
-    pivot_cols = {c for _, c in pivots}
-    free = [c for c in range(nc) if c not in pivot_cols]
-    if not free:
+    x = _integer_kernel_vector([list(row) for row in m.numerators], m.ncols)
+    if x is None:
         return None
-    f = free[0]
-    x = [Fraction(0)] * nc
-    x[f] = Fraction(1)
+    d = next(v for v in reversed(x) if v)  # the first free column's entry
+    return tuple(Fraction(v, d) for v in x)
+
+
+def _integer_kernel_vector(rows, nc: int):
+    """d > 0 times ``kernel_vector`` of the integer rows, or None; eliminates in place.
+
+    The columns before the first free column f are the pivots (i, i), and
+    those after it solve to 0, so x[:f] solves the leading f x f system
+    against -column f, and d is its last pivot, put at f.
+    """
+    pivots, _ = _forward_eliminate(rows)
+    pivot_cols = {c for _, c in pivots}
+    f = next((c for c in range(nc) if c not in pivot_cols), None)
+    if f is None:
+        return None
+    x = [0] * nc
+    x[f] = 1
     if f:
-        # the columns before f are the pivots (i, i), and those after it
-        # solve to 0, so x[:f] solves the leading f x f system against -column f
-        d, u = _back_substitute(rows, f, f)
-        x[:f] = (Fraction(-v, d) for v in u)
-    return tuple(x)
+        x[f], u = _back_substitute(rows, f, f)
+        x[:f] = (-v for v in u)
+    return x
 
 
 def frobenius_inner(a: Matrix, b: Matrix) -> Fraction:
@@ -520,31 +546,38 @@ def _peels_in_order(cells) -> bool:
     return True
 
 
-def _independent(images, extra) -> bool:
-    """Whether the flattenings, each followed by ``extra`` if given, are independent.
+def _independent(images) -> bool:
+    """Whether the permutation matrices with these image tuples are linearly independent."""
+    return not images or _dependency(images) is None
 
-    ``images`` holds the permutations' image tuples, of one length.
-    Peeling keeps the answer: if a permutation is the only one with a 1 in
-    some cell, that cell's equation alone forces its coefficient to zero in
-    any annihilating vector, so the set is independent exactly when the
-    rest is.  Bareiss elimination then runs on the core only.
+
+def _dependency(images):
+    """Integers b, not all zero, with ``sum_k b_k P_k = 0``; None when there are none.
+
+    ``images`` holds image tuples of one length.  Peeling keeps the
+    answer: a permutation alone on some cell has coefficient 0 in every
+    dependency, as that cell's equation alone forces, so it gets 0 here and
+    only the core is eliminated.  The core's entries are
+    ``_integer_kernel_vector`` of its incidence system, one column per
+    permutation: the dependency ending at the first permutation in the
+    span of those before it.  No peeled permutation is in such a span, so
+    this is the whole support's kernel vector, up to a positive factor.
     """
-    if not images:
-        return True
     core = _peel(images)
     if not core:
-        return True
+        return None
     n = len(images[0])
-    rows = []
-    for k in core:
-        row = [0] * (n * n)
-        for j, i in enumerate(images[k]):
-            row[i * n + j] = 1
-        if extra is not None:
-            row.append(extra)
-        rows.append(row)
-    pivots, _ = _forward_eliminate(rows)
-    return len(pivots) == len(rows)
+    rows = [[0] * len(core) for _ in range(n * n)]
+    for k, c in enumerate(core):
+        for j, i in enumerate(images[c]):
+            rows[i * n + j][k] = 1
+    x = _integer_kernel_vector(rows, len(core))
+    if x is None:
+        return None
+    b = [0] * len(images)
+    for k, v in zip(core, x):
+        b[k] = v
+    return b
 
 
 def _image_tuples(perms) -> list:
@@ -561,23 +594,22 @@ def _image_tuples(perms) -> list:
 def linear_independent(perms) -> bool:
     """True when the flattened permutation matrices are linearly independent.
 
-    Decided on the core left by ``_peel``: a permutation alone on a cell
-    has a zero coefficient in every dependency, so removing it changes
-    nothing.  Greedy ``birkhoff.decompose`` output peels to nothing,
-    since each of its terms is alone on the entry it zeroed.
+    Decided by ``_dependency`` on the core left by ``_peel``.  Greedy
+    ``birkhoff.decompose`` output peels to nothing, since each of its
+    terms is alone on the entry it zeroed.
     """
-    return _independent(_image_tuples(perms), None)
+    return _independent(_image_tuples(perms))
 
 
 def affine_independent(perms) -> bool:
     """True when no nonzero zero-sum coefficient vector annihilates the set.
 
-    Equivalent to linear independence of the flattenings augmented with a
-    constant coordinate 1.  The peeling argument of ``linear_independent``
-    holds unchanged, since it reads only the cell coordinates, so the
-    augmented elimination runs on the peeled core alone.
+    For permutation matrices this is linear independence, decided by the
+    same test: every permutation matrix has entry sum n, so summing the
+    entries of ``sum b_k P_k = 0`` gives ``n sum b_k = 0``, and every
+    linear dependency already sums to zero.
     """
-    return _independent(_image_tuples(perms), 1)
+    return _independent(_image_tuples(perms))
 
 
 def parse_matrix(text: str, bistochastic: bool = False) -> Matrix:

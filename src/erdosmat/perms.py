@@ -144,13 +144,9 @@ class Permutation:
 
     def matrix(self):
         """The 0/1 permutation matrix with entry 1 at (p(j), j)."""
-        from .linalg import BistochasticMatrix
+        from .linalg import BistochasticMatrix, _permutation_sum
 
-        n = self.n
-        rows = [[0] * n for _ in range(n)]
-        for j, i in enumerate(self.images):
-            rows[i][j] = 1
-        return BistochasticMatrix._from_numerators(1, rows)
+        return BistochasticMatrix._from_numerators(1, _permutation_sum((1,), (self.images,)))
 
 
 def agreement_count(a: Permutation, b: Permutation) -> int:

@@ -13,7 +13,7 @@ from itertools import permutations
 import pytest
 
 from erdosmat import BistochasticMatrix
-from erdosmat.linalg import _forward_eliminate
+from erdosmat.linalg import Matrix, _forward_eliminate, kernel_vector
 from erdosmat.perms import Permutation
 
 
@@ -158,6 +158,28 @@ def unpeeled_independent(perms, affine: bool = False) -> bool:
         rows.append(row + [1] if affine else row)
     pivots, _ = _forward_eliminate(rows)
     return len(pivots) == len(perms)
+
+
+def oracle_reduce(terms) -> tuple:
+    """Exchange steps on ``(Fraction, Permutation)`` terms down to an independent support (oracle).
+
+    Each round takes the kernel vector of the support's flattenings with
+    a row of ones appended (a zero-sum dependency), over the whole
+    support with no peeling, and moves the weights in ``Fraction``s.
+    """
+    terms = list(terms)
+    while not unpeeled_independent([p for _, p in terms], affine=True):
+        n = terms[0][1].n
+        rows = [[0] * len(terms) for _ in range(n * n)] + [[1] * len(terms)]
+        for k, (_, p) in enumerate(terms):
+            for j, i in enumerate(p.images):
+                rows[i * n + j][k] = 1
+        beta = kernel_vector(Matrix(rows))
+        alpha, i0 = min((c / abs(b), i) for i, (b, (c, _)) in enumerate(zip(beta, terms)) if b)
+        if beta[i0] > 0:
+            beta = [-b for b in beta]
+        terms = [(c + alpha * b, p) for b, (c, p) in zip(beta, terms) if c + alpha * b > 0]
+    return tuple(terms)
 
 
 def oracle_lex_min_matching(allowed):

@@ -7,7 +7,6 @@ import pytest
 from erdosmat import birkhoff
 from erdosmat.birkhoff import (
     ConvexDecomposition,
-    _lex_min_matching,
     _LexMinMatching,
     decompose,
     reduce_affine,
@@ -23,7 +22,12 @@ from erdosmat.perms import Permutation, all_permutations
 from erdosmat.rational import format_rational
 from erdosmat.sampling import random_bistochastic, random_permutation
 
-from conftest import oracle_decompose, oracle_lex_min_matching
+from conftest import (
+    oracle_decompose,
+    oracle_lex_min_matching,
+    oracle_reduce,
+    unpeeled_independent,
+)
 
 F = Fraction
 
@@ -72,7 +76,7 @@ def test_lex_min_matching_matches_oracle():
         for density in (0.2, 0.35, 0.5, 0.7, 0.9):
             for _ in range(40):
                 allowed = [[rng.random() < density for _ in range(n)] for _ in range(n)]
-                images = _lex_min_matching(allowed)
+                images = _LexMinMatching(allowed).images
                 assert images == oracle_lex_min_matching(allowed)
                 found[images is None] += 1
     # both grids with and without a perfect matching are covered
@@ -240,6 +244,10 @@ def test_validation_errors():
         ConvexDecomposition([(F(1, 2), p), (F(1, 2), Permutation.identity(3))])
     with pytest.raises(ValueError, match="at least one"):
         ConvexDecomposition([])
+    with pytest.raises(ValueError, match=r"^term \(0, 1\) is not a Permutation$"):
+        ConvexDecomposition([(1, (0, 1))])
+    with pytest.raises(ValueError, match="is not a Permutation"):
+        ConvexDecomposition([(F(1, 2), p), (F(1, 2), [1, 0])])
 
 
 def test_to_json():
@@ -321,6 +329,7 @@ def test_decompose_builds_terms_only_when_read(ref):
 def test_integer_constructor_messages_match_term_constructor():
     p = Permutation.identity(2)
     q = Permutation.from_cycles(2, (1, 2))
+    r = Permutation.identity(3)
     big, other = 1_000_003, 999_983
     scale = big * other
     cases = [
@@ -334,6 +343,16 @@ def test_integer_constructor_messages_match_term_constructor():
         ([(F(big - 1, big), p), (F(1, big), q), (F(1, other), p)], scale,
          [(big - 1) * other, other, big], "duplicate permutation id"),
         ([], 1, [], "decomposition needs at least one term"),
+        # several faults: each check covers every term before the next
+        # one runs (dimension, positivity, duplicates, sum)
+        ([(F(-1, 2), p), (F(3, 2), r)], 2, [-1, 3], "terms must share one permutation dimension"),
+        ([(F(1, 2), p), (F(1, 2), r)], 2, [1, 1], "terms must share one permutation dimension"),
+        ([(F(1, 2), p), (F(1, 2), p), (F(0), q)], 2, [1, 1, 0], "coefficient 0 is not positive"),
+        ([(F(1, 2), q), (F(1, 3), q), (F(-1, 3), p)], 6, [3, 2, -2],
+         "coefficient -1/3 is not positive"),
+        ([(F(1, 2), q), (F(1, 3), q)], 6, [3, 2], "duplicate permutation (1 2)"),
+        ([(F(1, 2), p), (F(1, 2), p), (F(0), q), (F(1, 3), r)], 6, [3, 3, 0, 2],
+         "terms must share one permutation dimension"),
     ]
     for terms, s, coefs, message in cases:
         with pytest.raises(ValueError) as by_terms:
@@ -341,3 +360,49 @@ def test_integer_constructor_messages_match_term_constructor():
         with pytest.raises(ValueError) as by_integers:
             ConvexDecomposition._from_integers(s, coefs, [t.images for _, t in terms])
         assert str(by_terms.value) == str(by_integers.value) == message
+
+
+def _dependent_terms(rng, n):
+    """Random convex terms on S_n whose support is linearly dependent, or None.
+
+    Half the draws hold a square {g, g a, g b, g a b} for disjoint
+    transpositions a, b, which is always dependent; the others are random
+    sets of about (n - 1)^2 + 1 permutations, the largest independent size.
+    """
+    if n >= 4 and rng.random() < 0.5:
+        g = random_permutation(n, rng)
+        i, j, k, m = rng.sample(range(n), 4)
+        a, b = Permutation.from_cycles(n, (i + 1, j + 1)), Permutation.from_cycles(n, (k + 1, m + 1))
+        perms = {g, g * a, g * b, g * a * b}
+        while len(perms) < rng.randint(4, 10):
+            perms.add(random_permutation(n, rng))
+    else:
+        perms = set()
+        size = min(len(all_permutations(n)), (n - 1) ** 2 + rng.randint(-1, 3))
+        while len(perms) < size:
+            perms.add(random_permutation(n, rng))
+    perms = rng.sample(sorted(perms), len(perms))
+    if linear_independent(perms):
+        return None
+    raw = [F(rng.randint(1, 50), rng.choice((1, 2, 6, 1_000_003))) for _ in perms]
+    return [(w / sum(raw), p) for w, p in zip(raw, perms)]
+
+
+def test_reduction_of_dependent_decompositions_matches_oracle():
+    rng = random.Random(103)
+    checked = dropped_several = 0
+    for _ in range(230):
+        terms = _dependent_terms(rng, rng.randint(3, 6))
+        if terms is None:
+            continue
+        d = ConvexDecomposition(terms)
+        r = reduce_linear(d)
+        assert d._terms is None and r._terms is None
+        assert set(r._images) < set(d._images)
+        assert linear_independent(r.support) and unpeeled_independent(r.support)
+        assert r.matrix() == d.matrix()
+        assert reduce_affine(d) == r and reduce_linear(r) is r
+        assert r.terms == oracle_reduce(terms)
+        checked += 1
+        dropped_several += len(d) - len(r) > 1
+    assert checked >= 150 and dropped_several >= 30, (checked, dropped_several)

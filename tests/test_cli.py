@@ -187,12 +187,26 @@ def test_decompose_reconstruction_is_checked(r_file, monkeypatch, capsys):
     rotated = [(terms[(k + 1) % len(terms)][0], p) for k, (_, p) in enumerate(terms)]
     for other in (ConvexDecomposition([(1, Permutation.identity(3))]),
                   ConvexDecomposition(rotated)):
+        # --reduce affine and --reduce linear run the one reduction
+        monkeypatch.setattr(cli, "reduce_linear", lambda d, other=other: other)
         for reduce in ("affine", "linear"):
-            monkeypatch.setattr(cli, f"reduce_{reduce}", lambda d, other=other: other)
             with pytest.raises(RuntimeError,
                                match="decomposition failed to reconstruct the input"):
                 main(["decompose", r_file, "--reduce", reduce])
     assert capsys.readouterr().out == ""
+
+
+def test_decompose_affine_and_linear_payloads_differ_only_in_reduce(r_file, tmp_path, capsys):
+    j4 = tmp_path / "J4.txt"
+    j4.write_text(format_matrix(BistochasticMatrix.uniform(4)) + "\n")
+    for path in (r_file, str(j4)):
+        payloads = {}
+        for reduce in ("affine", "linear"):
+            assert main(["decompose", path, "--reduce", reduce, "--format", "json"]) == 0
+            payloads[reduce] = _json_out(capsys)["payload"]
+        assert payloads["affine"].pop("reduce") == "affine"
+        assert payloads["linear"].pop("reduce") == "linear"
+        assert payloads["affine"] == payloads["linear"]
 
 
 def test_decompose_permutation_single_term(tmp_path, capsys):

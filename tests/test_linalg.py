@@ -12,6 +12,7 @@ from erdosmat.linalg import (
     NotBistochasticError,
     SingularMatrixError,
     _forward_eliminate,
+    _dependency,
     _independent,
     _peel,
     _peels_in_order,
@@ -191,20 +192,31 @@ def test_peeled_independence_matches_unpeeled_oracle():
     rng = random.Random(41)
     square_plus = _s4_square() + [Permutation.from_cycles(4, (1, 3))]
     cases = [all_permutations(3), _s4_square(), square_plus]
-    for n in (3, 4, 5):
+    for n in range(2, 7):
         group = all_permutations(n)
         for _ in range(60):
             cases.append(rng.sample(group, rng.randint(1, min(len(group), (n - 1) ** 2 + 3))))
-    outcomes = set()
+    outcomes = {}
     for perms in cases:
         for order in (perms, perms[::-1]):
             lin = linear_independent(order)
             aff = affine_independent(order)
             assert lin == unpeeled_independent(order)
             assert aff == unpeeled_independent(order, affine=True)
-            outcomes.add((lin, aff))
-    # both verdicts occur, so neither side can pass by always agreeing on one
-    assert outcomes == {(True, True), (False, False)}
+            # a dependency exactly when dependent: nonzero, zero-sum, annihilating
+            images = [p.images for p in order]
+            b = _dependency(images)
+            assert (b is None) == lin
+            if b is not None:
+                zero = Matrix([[0] * order[0].n] * order[0].n)
+                assert any(b) and sum(b) == 0
+                assert sum((c * p.matrix() for c, p in zip(b, order)), zero) == zero
+            key = (order[0].n, lin, aff)
+            outcomes[key] = outcomes.get(key, 0) + 1
+    # both verdicts occur at every n from 3 on, so neither side can pass
+    # by always agreeing on one
+    assert {(lin, aff) for _, lin, aff in outcomes} == {(True, True), (False, False)}
+    assert all(outcomes.get((n, False, False), 0) >= 5 for n in range(3, 7)), outcomes
     assert not linear_independent(all_permutations(3))
     assert not affine_independent(_s4_square())
     # all of S_3 and the S_4 square keep their whole set as the core
@@ -219,11 +231,17 @@ def test_independence_edge_cases():
     assert linear_independent([]) and affine_independent([])
     assert unpeeled_independent([]) and unpeeled_independent([], affine=True)
     mixed = [Permutation.identity(3), Permutation.identity(4)]
-    for test in (linear_independent, affine_independent):
-        with pytest.raises(ValueError, match="mixed dimensions"):
+
+    def halves(perms):
+        return BistochasticMatrix.combination((F(1, 2), p) for p in perms)
+
+    for test in (linear_independent, affine_independent, halves):
+        with pytest.raises(ValueError, match="^mixed dimensions: S_3 vs S_4$"):
             test(mixed)
-        with pytest.raises(ValueError, match="mixed dimensions"):
+        with pytest.raises(ValueError, match="^mixed dimensions: S_4 vs S_3$"):
             test(mixed[::-1])
+    with pytest.raises(ValueError, match="^combination needs at least one term$"):
+        BistochasticMatrix.combination([])
 
 
 def test_greedy_decomposition_peels_to_empty_core(ref):
@@ -270,7 +288,7 @@ def test_input_order_peel_matches_unpeeled_oracle():
             cells[k] - set().union(*cells[k + 1:]) for k in range(len(cells)))
         lin = unpeeled_independent(perms)
         assert lin == unpeeled_independent(perms, affine=True)
-        assert _independent(images, None) == _independent(images, 1) == lin
+        assert _independent(images) == lin
         if in_order:
             assert lin and _peel(images) == []
             seen["in order"] += 1
