@@ -30,6 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
 
+from .perms import Permutation
 from .rational import _RATIONAL_RE, as_rational, format_rational, parse_ratio
 
 
@@ -581,8 +582,12 @@ def _dependency(images):
 
 
 def _image_tuples(perms) -> list:
-    """The image tuples of ``perms``, which must share one dimension."""
-    images = [p.images for p in perms]
+    """The image tuples of ``perms``, which must be ``Permutation``s of one dimension."""
+    images = []
+    for p in perms:
+        if not isinstance(p, Permutation):
+            raise ValueError(f"term {p!r} is not a Permutation")
+        images.append(p.images)
     if images:
         n = len(images[0])
         for p in images:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 FULL_ENUMERATION_CAP = 8
 
@@ -22,7 +23,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(v) for v in images)
+        images = tuple(map(operator.index, images))
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images}")
         object.__setattr__(self, "images", images)

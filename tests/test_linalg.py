@@ -240,6 +240,8 @@ def test_independence_edge_cases():
             test(mixed)
         with pytest.raises(ValueError, match="^mixed dimensions: S_4 vs S_3$"):
             test(mixed[::-1])
+        with pytest.raises(ValueError, match=r"^term \(0, 1\) is not a Permutation$"):
+            test([(0, 1)])
     with pytest.raises(ValueError, match="^combination needs at least one term$"):
         BistochasticMatrix.combination([])
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -154,6 +155,9 @@ def test_one_indexed_json_form():
 def test_invalid_permutations():
     with pytest.raises(ValueError, match="not a permutation"):
         Permutation([0, 0, 1])
+    for images in ([0.9, 1.2], [Fraction(1, 2), 1], "10"):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            Permutation(images)
     with pytest.raises(ValueError, match="invalid cycle"):
         Permutation.from_cycles(3, (1, 4))
     with pytest.raises(ValueError, match="invalid cycle"):
