@@ -32,7 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .linalg import BistochasticMatrix, _common_denominator, _dependency, _permutation_sum
+from .linalg import BistochasticMatrix, _common_denominator, _dependency, _distinct
+from .linalg import _image_tuples, _one_dimension, _permutation_sum
 from .perms import Permutation
 from .rational import as_rational, format_rational
 
@@ -53,40 +54,33 @@ class ConvexDecomposition:
 
     def __init__(self, terms):
         terms = [(as_rational(c), p) for c, p in terms]
-        for _, p in terms:
-            if not isinstance(p, Permutation):
-                raise ValueError(f"term {p!r} is not a Permutation")
+        images = _image_tuples([p for _, p in terms])
         scale, coefs = _common_denominator([c for c, _ in terms])
-        self._init(scale, tuple(coefs), tuple(p.images for _, p in terms))
+        self._init(scale, tuple(coefs), tuple(images))
 
     @classmethod
     def _from_integers(cls, scale: int, coefs, images):
         """The decomposition with terms ``(coefs[k] / scale, images[k])``, for ``scale > 0``."""
+        images = tuple(images)
+        _one_dimension(images)
         d = object.__new__(cls)
-        d._init(scale, tuple(coefs), tuple(images))
+        d._init(scale, tuple(coefs), images)
         return d
 
     def _init(self, scale: int, coefs: tuple, images: tuple) -> None:
         """Check the terms on the integers and set the fields, reduced by their gcd.
 
-        Each check covers every term before the next: one dimension,
+        Both constructors have checked that the images share one
+        dimension.  Each check covers every term before the next:
         positivity, distinctness, the sum.  A ``Fraction`` is built only
         for an error message.
         """
         if not coefs:
             raise ValueError("decomposition needs at least one term")
-        n = len(images[0])
-        if any(len(p) != n for p in images):
-            raise ValueError("terms must share one permutation dimension")
         if min(coefs) <= 0:
             c = next(c for c in coefs if c <= 0)
             raise ValueError(f"coefficient {format_rational(Fraction(c, scale))} is not positive")
-        if len(set(images)) != len(images):
-            seen = set()
-            for p in images:
-                if p in seen:
-                    raise ValueError(f"duplicate permutation {Permutation._unchecked(p)}")
-                seen.add(p)
+        _distinct(images)
         total = sum(coefs)
         if total != scale:
             raise ValueError(

@@ -20,7 +20,6 @@ after canonicalization.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import time
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from . import gram as gram_mod
 from . import kernels
 from .assignment import frobenius_sq, is_erdos
 from .linalg import BistochasticMatrix
-from .perms import Permutation
+from .perms import all_permutations
 from .rational import format_rational
 
 CANON_CAP = 6
@@ -117,9 +116,7 @@ class _Tables:
 
     def __init__(self, n: int):
         self.n = n
-        self.perms = tuple(
-            Permutation(p) for p in itertools.permutations(range(n))
-        )
+        self.perms = tuple(all_permutations(n))
         self.pos = tuple(
             tuple(i * n + j for j, i in enumerate(p.images)) for p in self.perms
         )

@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from operator import mul
+from operator import eq, mul
 
 from .assignment import MaxTraceCertificate, is_erdos
-from .linalg import BistochasticMatrix, linear_independent, solve_integer
-from .perms import Permutation, agreement_count, conjugacy_class_reps
+from .linalg import BistochasticMatrix, _distinct, _image_tuples, _independent, solve_integer
+from .perms import Permutation, conjugacy_class_reps
 from .rational import format_rational
 
 INDEP_LINEAR = "linear"
@@ -81,21 +81,18 @@ class PipelineResult:
 def build_gram(perms) -> GramSystem:
     """Gram matrix of a collection plus its independence classification.
 
+    The collection is checked once, through its image tuples, and both
+    the agreement counts and the independence test read those tuples.
     Linear and affine independence coincide for permutation matrices (see
     ``birkhoff.reduce_linear``), so one elimination classifies the set.
     """
     perms = tuple(perms)
-    if not perms:
+    images = _image_tuples(perms)
+    if not images:
         raise ValueError("need at least one permutation")
-    n = perms[0].n
-    if any(p.n != n for p in perms):
-        raise ValueError("permutations have mixed dimensions")
-    if len(set(perms)) != len(perms):
-        raise ValueError("duplicate permutations in the collection")
-    gram = tuple(
-        tuple(agreement_count(a, b) for b in perms) for a in perms
-    )
-    independence = INDEP_LINEAR if linear_independent(perms) else INDEP_DEPENDENT
+    _distinct(images)
+    gram = tuple(tuple(sum(map(eq, a, b)) for b in images) for a in images)
+    independence = INDEP_LINEAR if _independent(images) else INDEP_DEPENDENT
     return GramSystem(perms, gram, independence)
 
 

@@ -20,7 +20,10 @@ support, and each visited support stands for its orbit of
 ``n! / |stabiliser|`` supports in every source count and in every counter
 but the dependent one.
 
-All arithmetic is on Python ints, which cannot overflow.  Bareiss
+All arithmetic is on Python ints, which cannot overflow.  The exact
+division and the back substitution are those of ``linalg``'s solves
+(``_exact_div``, ``_back_substitute``); only the symmetric push and pop
+that grow and shrink the elimination are the walk's own.  Bareiss
 divisions are exact in theory; each one is checked, and a remainder
 raises ``ArithmeticError`` instead of being rounded away.
 """
@@ -31,6 +34,8 @@ import time
 from math import gcd
 from operator import or_
 
+from .linalg import _back_substitute, _exact_div
+
 # the clock is read once per max(1, CLOCK_WORK // n!) tried extensions:
 # each try ORs n! - 1 image masks, so the stride keeps the work between
 # two reads about level across dimensions (1,024 tries at n = 4)
@@ -39,20 +44,6 @@ CLOCK_WORK = 24 * 1024
 
 class _Deadline(Exception):
     """Raised inside the walk when the deadline has passed."""
-
-
-def _exact_div(nums: list, d: int) -> list:
-    """``[x // d for x in nums]``, raising unless every division is exact.
-
-    Floor-division remainders all share the sign of ``d``, so they are
-    all zero exactly when their sum is.
-    """
-    if d == 1:
-        return nums
-    q = [x // d for x in nums]
-    if sum(nums) != d * sum(q):
-        raise ArithmeticError("non-exact division in Bareiss elimination")
-    return q
 
 
 class _GramElimination:
@@ -110,22 +101,12 @@ class _GramElimination:
         for uk in self.upper:
             del uk[-2]
 
-    def weights(self) -> list:
-        """The integer vector ``u = det(G) G^-1 1``, by back substitution.
+    def weights(self) -> tuple:
+        """(det(G), u) with ``u = det(G) G^-1 1``, by ``linalg._back_substitute``.
 
-        Integral by Cramer's rule; each division is checked to be exact.
+        u is integral by Cramer's rule; each division is checked to be exact.
         """
-        m = len(self.piv)
-        det = self.piv[-1]
-        u = [0] * m
-        for i in range(m - 1, -1, -1):
-            ui = self.upper[i]
-            acc = det * ui[-1] - sum(a * b for a, b in zip(ui, u[i + 1:]))
-            q, rem = divmod(acc, self.piv[i])
-            if rem:
-                raise ArithmeticError("non-exact division in back substitution")
-            u[i] = q
-        return u
+        return _back_substitute(self.piv, self.upper)
 
 
 # erdosbench/spans.py times the walk under this name, from when it ran
@@ -195,7 +176,7 @@ def run_shard(tables, max_support: int, deadline: float | None = None, progress=
 
     def visit(weight: int) -> None:
         stats[0] += weight
-        u = elim.weights()
+        _, u = elim.weights()
         if min(u) < 0:
             stats[2] += weight
             return

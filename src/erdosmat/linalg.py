@@ -13,7 +13,10 @@ followed by an integer back substitution: the last pivot d is the
 determinant of the eliminated system, so d times the solution is an
 integer vector (Cramer), every division is checked exact, and one
 ``Fraction`` is built per output coordinate.  Singularity is detected
-by a pivot search finding only zeros, never by tolerance.
+by a pivot search finding only zeros, never by tolerance.  The one
+checked division, ``_exact_div``, and the one back substitution,
+``_back_substitute``, also serve the enumeration walk's incremental
+Gram elimination (``kernels._GramElimination``).
 
 Independence of permutation matrices is decided the same way after a
 peeling pass: a permutation that is the only one with a 1 in some cell
@@ -21,7 +24,9 @@ has a zero coefficient in every dependency, so it is set aside and only
 the remaining core is eliminated, once, by ``_dependency``.  Linear and
 affine independence are that one test, since every permutation matrix
 has entry sum n.  Every ``sum c_k P_k`` is assembled on integers by
-``_permutation_sum``.
+``_permutation_sum``.  A collection of permutations is checked by
+``_image_tuples`` (type and dimension) and ``_distinct``, whose messages
+every caller shares.
 """
 
 from __future__ import annotations
@@ -287,10 +292,17 @@ def _identity_rows(n: int) -> list:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("fraction-free elimination produced a non-exact division")
+def _exact_div(nums: list, d: int) -> list:
+    """``[x // d for x in nums]``, raising unless every division is exact.
+
+    Floor-division remainders all share the sign of ``d``, so they are
+    all zero exactly when their sum is.
+    """
+    if d == 1:
+        return nums
+    q = [x // d for x in nums]
+    if sum(nums) != d * sum(q):
+        raise ArithmeticError("non-exact division in fraction-free elimination")
     return q
 
 
@@ -321,13 +333,10 @@ def _forward_eliminate(rows):
             swaps += 1
         pivot_row = rows[r]
         pv = pivot_row[c]
-        for i in range(r + 1, nr):
-            row = rows[i]
+        tail = pivot_row[c:]
+        for row in rows[r + 1:]:
             f = row[c]
-            new = [0] * nc
-            for j in range(c, nc):
-                new[j] = _exact_div(pv * row[j] - f * pivot_row[j], prev)
-            rows[i] = new
+            row[c:] = _exact_div([pv * x - f * y for x, y in zip(row[c:], tail)], prev)
         prev = pv
         pivots.append((r, c))
         r += 1
@@ -370,23 +379,31 @@ def _augmented(m: Matrix, extra) -> list:
     return out
 
 
-def _back_substitute(rows, n, rhs_col):
-    """Integer back substitution on Bareiss output: (d, u) with solution u / d.
+def _back_substitute(piv, upper) -> tuple:
+    """Integer back substitution on a Bareiss triangle: (d, u) with solution u / d.
 
-    ``rows`` is ``_forward_eliminate``'s output with pivots (i, i) for
-    i < n.  Its last pivot is the determinant of the row-permuted leading
-    n x n system, so by Cramer's rule d times the solution is an integer
-    vector u, and u[i] = (d b[i] - sum_{j > i} U[i][j] u[j]) / U[i][i]
-    divides exactly (checked).  d is made positive.
+    ``piv[i]`` is pivot i, and ``upper[i]`` the entries of its row right
+    of the pivot, the right-hand side last.  The last pivot is the
+    determinant of the (row-permuted) system, so by Cramer's rule d times
+    the solution is an integer vector u, and
+    u[i] = (d b[i] - sum_{j > i} U[i][j] u[j]) / piv[i] divides exactly
+    (checked; the last, d b[-1] / d, needs no division).  d is made positive.
     """
-    d = rows[n - 1][n - 1]
-    u = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = rows[i]
-        u[i] = _exact_div(d * row[rhs_col] - sum(map(mul, row[i + 1:n], u[i + 1:])), row[i])
+    d = piv[-1]
+    u = [0] * len(piv)
+    u[-1] = upper[-1][-1]
+    for i in range(len(piv) - 2, -1, -1):
+        row = upper[i]
+        u[i], = _exact_div([d * row[-1] - sum(map(mul, row, u[i + 1:]))], piv[i])
     if d < 0:
         return -d, [-v for v in u]
     return d, u
+
+
+def _triangle(rows, n: int, rhs_col: int) -> tuple:
+    """``_back_substitute``'s input from eliminated rows with pivots (i, i), i < n."""
+    upper = [row[i + 1:n] + [row[rhs_col]] for i, row in enumerate(rows[:n])]
+    return [rows[i][i] for i in range(n)], upper
 
 
 def _eliminate_square(rows, n) -> None:
@@ -409,7 +426,7 @@ def solve_integer(a, b) -> tuple:
     rows = [list(row) + [v] for row, v in zip(a, b)]
     n = len(rows)
     _eliminate_square(rows, n)
-    return _back_substitute(rows, n, n)
+    return _back_substitute(*_triangle(rows, n, n))
 
 
 def solve(m: Matrix, rhs) -> tuple:
@@ -422,7 +439,7 @@ def solve(m: Matrix, rhs) -> tuple:
         raise ValueError(f"right-hand side has {len(b)} entries, expected {n}")
     rows = _augmented(m, [[e] for e in b])
     _eliminate_square(rows, n)
-    d, u = _back_substitute(rows, n, n)
+    d, u = _back_substitute(*_triangle(rows, n, n))
     return tuple(Fraction(v, d) for v in u)
 
 
@@ -433,7 +450,7 @@ def inverse(m: Matrix) -> Matrix:
         raise ValueError(f"inverse requires a square matrix, got {m.shape}")
     rows = _augmented(m, _identity_rows(n))
     _eliminate_square(rows, n)
-    cols = [_back_substitute(rows, n, n + k) for k in range(n)]
+    cols = [_back_substitute(*_triangle(rows, n, n + k)) for k in range(n)]
     # every column shares the last pivot as its denominator
     return Matrix._from_numerators(cols[0][0], zip(*(u for _, u in cols)))
 
@@ -454,7 +471,7 @@ def solve_tall(m: Matrix, rhs) -> tuple:
         raise ValueError("system is inconsistent")
     if len(pivots) < nc:
         raise ValueError("matrix does not have full column rank")
-    d, u = _back_substitute(rows, nc, nc)
+    d, u = _back_substitute(*_triangle(rows, nc, nc))
     return tuple(Fraction(v, d) for v in u)
 
 
@@ -485,7 +502,7 @@ def _integer_kernel_vector(rows, nc: int):
     x = [0] * nc
     x[f] = 1
     if f:
-        x[f], u = _back_substitute(rows, f, f)
+        x[f], u = _back_substitute(*_triangle(rows, f, f))
         x[:f] = (-v for v in u)
     return x
 
@@ -588,12 +605,24 @@ def _image_tuples(perms) -> list:
         if not isinstance(p, Permutation):
             raise ValueError(f"term {p!r} is not a Permutation")
         images.append(p.images)
-    if images:
-        n = len(images[0])
-        for p in images:
-            if len(p) != n:
-                raise ValueError(f"mixed dimensions: S_{n} vs S_{len(p)}")
+    _one_dimension(images)
     return images
+
+
+def _one_dimension(images) -> None:
+    """Raise ``ValueError`` unless the image tuples all have the length of the first."""
+    for p in images:
+        if len(p) != len(images[0]):
+            raise ValueError(f"mixed dimensions: S_{len(images[0])} vs S_{len(p)}")
+
+
+def _distinct(images) -> None:
+    """Raise ``ValueError``, naming the first repeat, unless the image tuples are distinct."""
+    seen = set()
+    for p in images:
+        if p in seen:
+            raise ValueError(f"duplicate permutation {Permutation._unchecked(p)}")
+        seen.add(p)
 
 
 def linear_independent(perms) -> bool:

@@ -345,14 +345,14 @@ def test_integer_constructor_messages_match_term_constructor():
         ([], 1, [], "decomposition needs at least one term"),
         # several faults: each check covers every term before the next
         # one runs (dimension, positivity, duplicates, sum)
-        ([(F(-1, 2), p), (F(3, 2), r)], 2, [-1, 3], "terms must share one permutation dimension"),
-        ([(F(1, 2), p), (F(1, 2), r)], 2, [1, 1], "terms must share one permutation dimension"),
+        ([(F(-1, 2), p), (F(3, 2), r)], 2, [-1, 3], "mixed dimensions: S_2 vs S_3"),
+        ([(F(1, 2), p), (F(1, 2), r)], 2, [1, 1], "mixed dimensions: S_2 vs S_3"),
         ([(F(1, 2), p), (F(1, 2), p), (F(0), q)], 2, [1, 1, 0], "coefficient 0 is not positive"),
         ([(F(1, 2), q), (F(1, 3), q), (F(-1, 3), p)], 6, [3, 2, -2],
          "coefficient -1/3 is not positive"),
         ([(F(1, 2), q), (F(1, 3), q)], 6, [3, 2], "duplicate permutation (1 2)"),
         ([(F(1, 2), p), (F(1, 2), p), (F(0), q), (F(1, 3), r)], 6, [3, 3, 0, 2],
-         "terms must share one permutation dimension"),
+         "mixed dimensions: S_2 vs S_3"),
     ]
     for terms, s, coefs, message in cases:
         with pytest.raises(ValueError) as by_terms:

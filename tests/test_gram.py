@@ -61,12 +61,16 @@ def test_build_gram_structure_random():
 
 
 def test_build_gram_errors():
-    with pytest.raises(ValueError, match="duplicate"):
-        build_gram([I3, I3])
-    with pytest.raises(ValueError, match="mixed"):
-        build_gram([I3, Permutation.identity(4)])
-    with pytest.raises(ValueError, match="at least one"):
-        build_gram([])
+    for perms, message in (
+        ([I3, SIG, I3], "duplicate permutation id"),
+        ([I3, Permutation.identity(4)], "mixed dimensions: S_3 vs S_4"),
+        ([(0, 1)], "term (0, 1) is not a Permutation"),
+        ([], "need at least one permutation"),
+    ):
+        for build in (build_gram, pipeline):
+            with pytest.raises(ValueError) as caught:
+                build(perms)
+            assert str(caught.value) == message
 
 
 def test_gram_positive_definite_on_independent_sets():

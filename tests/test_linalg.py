@@ -13,6 +13,7 @@ from erdosmat.linalg import (
     SingularMatrixError,
     _forward_eliminate,
     _dependency,
+    _exact_div,
     _independent,
     _peel,
     _peels_in_order,
@@ -744,3 +745,11 @@ def test_integer_back_substitution_checks_exact_division(monkeypatch):
     monkeypatch.setattr(linalg, "_forward_eliminate", broken)
     with pytest.raises(ArithmeticError, match="non-exact division"):
         solve_integer([[2, 1], [1, 3]], [1, 1])
+
+
+def test_inexact_division_raises():
+    assert _exact_div([4, -6, 0], 2) == [2, -3, 0]
+    assert _exact_div([4, -6], -2) == [-2, 3]
+    for nums, d in (([3, 4], 2), ([1, -1], 2), ([5, 1], -3)):
+        with pytest.raises(ArithmeticError, match="non-exact"):
+            _exact_div(nums, d)

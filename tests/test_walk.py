@@ -11,6 +11,7 @@ no arithmetic with the walk.
 
 import functools
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ import pytest
 from conftest import rowscan_canonical_flatten
 from erdosmat import gram, kernels
 from erdosmat.enumeration import _build_classes, enumerate_erdos, get_tables
-from erdosmat.linalg import BistochasticMatrix, linear_independent
+from erdosmat.linalg import BistochasticMatrix, linear_independent, solve_integer
 from erdosmat.perms import Permutation
 
 
@@ -346,9 +347,36 @@ def test_push_and_pop_restore_the_elimination():
     assert _state(elim) == states[-2]
 
 
-def test_inexact_division_raises():
-    assert kernels._exact_div([4, -6, 0], 2) == [2, -3, 0]
-    assert kernels._exact_div([4, -6], -2) == [-2, 3]
-    for nums, d in (([3, 4], 2), ([1, -1], 2), ([5, 1], -3)):
-        with pytest.raises(ArithmeticError, match="non-exact"):
-            kernels._exact_div(nums, d)
+def test_weights_check_the_back_substitution():
+    # {I, (2 3)} in S_3: G = [[3, 1], [1, 3]], so det(G) = 8 and u = (2, 2)
+    elim = kernels._GramElimination()
+    assert elim.push([3]) and elim.push([1, 3])
+    assert elim.weights() == (8, [2, 2])
+    elim.upper[0][-1] += 1  # u[0] would be (8 * 2 - 2) / 3
+    with pytest.raises(ArithmeticError, match="non-exact"):
+        elim.weights()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_weights_equal_solve_integer(n):
+    # seeded random supports, grown one push at a time: every independent
+    # prefix's (det, weights) is linalg's solve of its Gram system, and a
+    # refused push is a dependent extension
+    rng = random.Random(1000 + n)
+    tables = get_tables(n)
+    agree = tables.agree
+    full = (n - 1) ** 2 + 1  # the dimension of the span of S_n
+    for _ in range(4):
+        elim = kernels._GramElimination()
+        support = []
+        for r in rng.sample(range(len(agree)), len(agree)):
+            if len(support) == full:
+                break
+            grown = support + [r]
+            if not elim.push([agree[r][b] for b in support] + [n]):
+                assert not linear_independent([tables.perms[b] for b in grown])
+                continue
+            support = grown
+            gram_rows = [[agree[a][b] for b in support] for a in support]
+            assert elim.weights() == solve_integer(gram_rows, [1] * len(support))
+        assert len(support) == full
