@@ -102,17 +102,17 @@ def max_trace(a: Matrix, method: str = "auto") -> MaxTraceCertificate:
     return MaxTraceCertificate(value, (Permutation._unchecked(images),), False, "hungarian")
 
 
-def delta(a: Matrix, method: str = "auto") -> Fraction:
+def delta(a: Matrix) -> Fraction:
     """The Marcus-Ree gap maxTr(A) - ||A||_F^2; zero exactly on Erdos matrices."""
-    return max_trace(a, method).value - frobenius_sq(a)
+    return max_trace(a).value - frobenius_sq(a)
 
 
-def is_erdos(a: Matrix, method: str = "auto"):
+def is_erdos(a: Matrix):
     """Whether the maximal trace equals the squared Frobenius norm exactly.
 
     Returns (verdict, certificate).
     """
-    cert = max_trace(a, method)
+    cert = max_trace(a)
     return cert.value == frobenius_sq(a), cert
 
 

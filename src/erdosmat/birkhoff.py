@@ -4,17 +4,18 @@
 combination of permutation matrices with the classical greedy loop:
 find a permutation inside the positive support, subtract the minimal
 entry along it, repeat.  The loop runs on the matrix's integer
-numerators over the least common multiple of its denominators, and
-takes the lexicographically least permutation of the support.  That
-matching is built once and then carried from round to round: a round
-only deletes the cells it zeroed, and deleting cells can only make the
-least matching lexicographically larger, so once the freed columns are
-re-matched every column before the first one that changed keeps its
-row, and only the later columns are made least again.  The result is a
-``ConvexDecomposition`` held the same way, as integer coefficients over
-that scale and image tuples, from which ``to_json`` and ``matrix`` read
-directly; its ``(Fraction, Permutation)`` terms are built only when
-read.
+numerators over the least common multiple of its denominators.  Its
+permutation is a perfect matching of the support, built once by
+augmenting paths and then carried from round to round: a round deletes
+the cells it zeroed and re-matches the columns that lost their row.
+Any perfect matching will do.  Each round still zeroes a cell, which
+bounds the number of terms, and when A is Erdos every permutation of
+any Birkhoff decomposition attains the maximal trace (Marcus-Ree
+equality), so the terms are witnesses whichever matching is taken.  The
+result is a ``ConvexDecomposition`` held the same way, as integer
+coefficients over that scale and image tuples, from which ``to_json``
+and ``matrix`` read directly; its ``(Fraction, Permutation)`` terms are
+built only when read.
 ``reduce_linear`` shrinks a decomposition to a linearly independent
 support by Caratheodory-style exchange steps on the integer
 coefficients, one elimination per round.  ``reduce_affine`` is the same
@@ -162,8 +163,8 @@ class ConvexDecomposition:
 def decompose(a: BistochasticMatrix) -> ConvexDecomposition:
     """Greedy Birkhoff decomposition of a bistochastic matrix.
 
-    Deterministic: each round extracts the lexicographically smallest
-    permutation available in the positive support, so the output is
+    Deterministic: each round takes the matching that augmenting paths
+    first found, repaired after the last round, so the output is
     reproducible.  A permutation matrix decomposes as itself; every round
     zeroes at least one entry, so there are at most (n-1)^2 + 1 terms.
 
@@ -172,18 +173,14 @@ def decompose(a: BistochasticMatrix) -> ConvexDecomposition:
     an integer matrix; each round's coefficient is an integer over that
     scale and its permutation an image tuple, which is how the returned
     ``ConvexDecomposition`` stores them.
-    One ``_LexMinMatching`` of the positive support serves every round: a
-    round deletes the cells it zeroed, re-matches the freed columns and
-    makes least only the columns from the first one the repair changed.
-    That is exact because the support only shrinks: the least matching
-    of a subgraph is never lexicographically smaller, so a perfect
-    matching of the new support that keeps the old least one's first
-    columns pins them (see ``_LexMinMatching``).
+    One ``_Matching`` of the positive support serves every round: a round
+    deletes the cells it zeroed and re-matches each freed column with one
+    augmenting search.
     """
     n = a.n
     scale = a.scale
     residual = [list(row) for row in a.numerators]
-    matching = _LexMinMatching([[e > 0 for e in row] for row in residual])
+    matching = _Matching([[e > 0 for e in row] for row in residual])
     remaining = scale
     coefs = []
     perms = []
@@ -255,75 +252,52 @@ def reduce_affine(d: ConvexDecomposition) -> ConvexDecomposition:
     return reduce_linear(d)
 
 
-class _LexMinMatching:
-    """The lexicographically least perfect matching of a 0/1 grid, kept under deletions.
+class _Matching:
+    """A perfect matching of a 0/1 grid, kept under deletions by augmenting paths.
 
-    ``rows[i]`` has bit j set when row i may serve column j, ``cols[j]``
-    has bit i set for the same cell.  ``images[j]`` is the row of column
-    j and ``col_of[i]`` the column of row i; ``images`` is None once the
-    grid has no perfect matching.
+    ``cols[j]`` has bit i set when row i may serve column j.  ``images[j]``
+    is the row of column j and ``col_of[i]`` the column of row i;
+    ``images`` is None once the grid has no perfect matching.
 
-    Built from scratch, Kuhn's augmenting paths find one perfect matching
-    and the lex pass (``_lex_pass``) makes it least from column 0.  After
-    ``delete`` the least matching can only grow: the new grid G' is a
-    subgraph of the old G, so every matching of G' is one of G and
-    ``lexmin(G') >= lexmin(G)``.  So the freed columns are re-matched,
-    first along augmenting paths through the columns ``>= k`` only, k the
-    first freed column, then through every column if that fails; the
-    repaired matching shares its columns before ``j0``, the first column
-    it changed, with ``lexmin(G)``.  Being a matching of G' it is
-    ``>= lexmin(G')``, which is ``>= lexmin(G)``, so ``lexmin(G')`` has
-    that same prefix, and the lex pass runs from ``j0`` only.
+    Built from empty with one augmenting search per column, in column
+    order (Kuhn).  ``delete`` unmatches the columns whose cells it
+    removes and re-matches each with one search through every column.
+    A search that fails proves that no perfect matching is left: every
+    row it reached is matched to another column it reached, so the
+    columns it reached may use one row fewer than there are of them
+    (Hall).
     """
 
-    __slots__ = ("rows", "cols", "images", "col_of")
+    __slots__ = ("cols", "images", "col_of")
 
     def __init__(self, allowed):
         n = len(allowed)
-        self.rows = [sum(1 << j for j in range(n) if allowed[i][j]) for i in range(n)]
         self.cols = [sum(1 << i for i in range(n) if allowed[i][j]) for j in range(n)]
         self.images = [None] * n
         self.col_of = [None] * n
         for j in range(n):
-            if not self._augment(j, 0):
+            if not self._augment(j):
                 self.images = None
                 return
-        self._lex_pass(0)
 
     def delete(self, cells) -> None:
-        """Disallow each cell (i, j) of ``cells`` and restore the least matching."""
-        rows, cols, images, col_of = self.rows, self.cols, self.images, self.col_of
+        """Disallow each cell (i, j) of ``cells`` and re-match the columns that lost their row."""
+        cols, images, col_of = self.cols, self.images, self.col_of
         for i, j in cells:
-            rows[i] &= ~(1 << j)
             cols[j] &= ~(1 << i)
         if images is None:
             return
         freed = sorted({j for i, j in cells if images[j] == i})
-        if not freed:
-            return
         for j in freed:
             col_of[images[j]] = None
             images[j] = None
-        # column k changes (its cell is gone) and the searches through the
-        # columns >= k leave the earlier ones alone, so only a search
-        # through every column can move the first changed column below k
-        k = freed[0]
-        head = None
         for j in freed:
-            if self._augment(j, k):
-                continue
-            if head is None:
-                head = images[:k]
-            if not self._augment(j, 0):
+            if not self._augment(j):
                 self.images = None
                 return
-        j0 = k
-        if head is not None:
-            j0 = next((c for c, i in enumerate(head) if images[c] != i), k)
-        self._lex_pass(j0)
 
-    def _augment(self, c0: int, first: int) -> bool:
-        """Match the free column c0, re-matching only columns >= ``first``.
+    def _augment(self, c0: int) -> bool:
+        """Match the free column c0 along an augmenting path.
 
         A breadth-first search over alternating paths from c0; when one
         reaches a free row, every column on it moves to the row it
@@ -349,57 +323,6 @@ class _LexMinMatching:
                         if c == c0:
                             return True
                         c = via[i]
-                if d >= first:
-                    via[i] = c
-                    queue.append(d)
+                via[i] = c
+                queue.append(d)
         return False
-
-    def _lex_pass(self, j0: int) -> None:
-        """Make columns j0.. least in turn, columns before j0 being least already.
-
-        Column j holds row r and may take a smaller row i exactly when the
-        later columns can still be matched without i, that is (Berge) when
-        an alternating path leads from i's column to r: each column on it
-        takes the row after it.  One reverse search from r finds every
-        row that can reach r through columns ``> j``, stopping once it
-        reaches the least row column j may take; the least reached row
-        allowed in column j is then taken, and the path rotated along its
-        parent links.
-        """
-        rows, cols, images, col_of = self.rows, self.cols, self.images, self.col_of
-        n = len(images)
-        fixed = 0
-        for j in range(j0):
-            fixed |= 1 << images[j]
-        for j in range(j0, n):
-            r = images[j]
-            free = cols[j] & ~fixed
-            least = free & -free
-            if least != 1 << r:
-                later = ((1 << n) - 1) ^ ((2 << j) - 1)
-                parent = {}  # row -> (its column, the row that column can take)
-                reach = 1 << r
-                queue = [r]
-                for x in queue:
-                    hit = rows[x] & later
-                    later ^= hit
-                    while hit:
-                        low = hit & -hit
-                        hit ^= low
-                        c = low.bit_length() - 1
-                        i = images[c]
-                        parent[i] = (c, x)
-                        reach |= 1 << i
-                        queue.append(i)
-                    if reach & least:
-                        break
-                best = free & reach
-                i = (best & -best).bit_length() - 1
-                c = j
-                while True:
-                    images[c] = i
-                    col_of[i] = c
-                    if i == r:
-                        break
-                    c, i = parent[i]
-            fixed |= 1 << images[j]

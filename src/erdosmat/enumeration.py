@@ -364,10 +364,10 @@ def _build_classes(tables: _Tables, accepted) -> list:
     """
     n = tables.n
     raws: dict = {}
-    for support_ranks, u, s, anum, weight in accepted:
+    for support_ranks, _, s, anum, weight in accepted:
         g = gcd(s, *anum)
         key = (s // g, tuple(v // g for v in anum))
-        _add_sources(raws, key, weight, (len(support_ranks), support_ranks, u, s))
+        _add_sources(raws, key, weight, (len(support_ranks), support_ranks))
     grouped: dict = {}
     for (s, anum), (count, rep) in raws.items():
         rp, cols = _canonical_order([anum[i * n:(i + 1) * n] for i in range(n)])
@@ -379,7 +379,7 @@ def _build_classes(tables: _Tables, accepted) -> list:
         canon = BistochasticMatrix._from_numerators(
             s, [flat[i * n:(i + 1) * n] for i in range(n)]
         )
-        _, support_ranks, _, _ = rep
+        _, support_ranks = rep
         support = tuple(tables.perms[r] for r in support_ranks)
         res = gram_mod.pipeline(list(support))
         if res.status != gram_mod.STATUS_OK:

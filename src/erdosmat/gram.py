@@ -124,7 +124,7 @@ def assemble(g: GramSystem, sol: CandidateSolution) -> BistochasticMatrix:
     return BistochasticMatrix.combination(zip(sol.x, g.perms))
 
 
-def pipeline(perms, method: str = "auto") -> PipelineResult:
+def pipeline(perms) -> PipelineResult:
     """Run a collection through solve, assembly and the Erdos verdict."""
     g = build_gram(perms)
     if g.independence != INDEP_LINEAR:
@@ -133,7 +133,7 @@ def pipeline(perms, method: str = "auto") -> PipelineResult:
     if not sol.nonneg:
         return PipelineResult(REJECT_NEGATIVE, g, sol, None, None)
     a = assemble(g, sol)
-    verdict, cert = is_erdos(a, method)
+    verdict, cert = is_erdos(a)
     if not verdict:
         return PipelineResult(REJECT_MAXTR, g, sol, None, None)
     return PipelineResult(STATUS_OK, g, sol, a, cert)

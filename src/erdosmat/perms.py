@@ -161,7 +161,7 @@ def agreement_count(a: Permutation, b: Permutation) -> int:
     return sum(1 for x, y in zip(a.images, b.images) if x == y)
 
 
-def all_permutations(n: int, cap: int = FULL_ENUMERATION_CAP) -> list:
+def all_permutations(n: int) -> list:
     """All of S_n in lexicographic order of one-line notation.
 
     The position of a permutation in this list is its ``rank()``; the
@@ -169,8 +169,8 @@ def all_permutations(n: int, cap: int = FULL_ENUMERATION_CAP) -> list:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > cap:
-        raise ValueError(f"full enumeration of S_{n} exceeds the cap of {cap}")
+    if n > FULL_ENUMERATION_CAP:
+        raise ValueError(f"full enumeration of S_{n} exceeds the cap of {FULL_ENUMERATION_CAP}")
     return [Permutation(p) for p in itertools.permutations(range(n))]
 
 

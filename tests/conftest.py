@@ -2,8 +2,8 @@
 
 The oracles here (plain Gaussian and Gauss-Jordan elimination,
 brute-force and row-scan canonical minimization, the unpeeled
-independence test, and the greedy decomposition over Fractions with a
-from-scratch matching per candidate row) are deliberately separate
+independence test, a from-scratch matchability test, and a replay of
+greedy decompositions over Fractions) are deliberately separate
 implementations from the library paths they check.
 """
 
@@ -14,7 +14,6 @@ import pytest
 
 from erdosmat import BistochasticMatrix
 from erdosmat.linalg import Matrix, _forward_eliminate, kernel_vector
-from erdosmat.perms import Permutation
 
 
 F = Fraction
@@ -182,36 +181,14 @@ def oracle_reduce(terms) -> tuple:
     return tuple(terms)
 
 
-def oracle_lex_min_matching(allowed):
-    """Lexicographically smallest perfect matching images[j] = row of column j.
-
-    For each column in turn, the first row that leaves the later columns
-    matchable, tested by a full matching from scratch (oracle).
-    """
-    n = len(allowed)
-    images = []
-    used_rows = set()
-    for j in range(n):
-        for i in range(n):
-            if i in used_rows or not allowed[i][j]:
-                continue
-            if _oracle_matchable(allowed, used_rows | {i}, j + 1):
-                images.append(i)
-                used_rows.add(i)
-                break
-        else:
-            return None
-    return images
-
-
-def _oracle_matchable(allowed, used_rows, start_col) -> bool:
-    """Whether columns start_col.. can all be matched to distinct unused rows."""
+def oracle_matchable(allowed) -> bool:
+    """Whether the 0/1 grid has a perfect matching, by Kuhn's depth-first search (oracle)."""
     n = len(allowed)
     match_row = {}
 
     def try_col(j, seen):
         for i in range(n):
-            if i in used_rows or i in seen or not allowed[i][j]:
+            if i in seen or not allowed[i][j]:
                 continue
             seen.add(i)
             if i not in match_row or try_col(match_row[i], seen):
@@ -219,30 +196,21 @@ def _oracle_matchable(allowed, used_rows, start_col) -> bool:
                 return True
         return False
 
-    for j in range(start_col, n):
-        if not try_col(j, set()):
-            return False
-    return True
+    return all(try_col(j, set()) for j in range(n))
 
 
-def oracle_decompose(a):
-    """Greedy Birkhoff terms (coef, Permutation) over Fraction residuals (oracle).
+def oracle_greedy_replay(a, terms) -> None:
+    """Replay greedy Birkhoff terms (coef, Permutation) on a Fraction residual (oracle).
 
-    Each round recomputes the positive support and takes its
-    lexicographically smallest perfect matching with
-    ``oracle_lex_min_matching``.
+    Each term must lie inside the residual's positive support and take
+    the least residual entry along it as its coefficient, and the
+    residual must end at zero.  Any choice of permutation passes.
     """
-    n = a.n
     residual = [list(row) for row in a]
-    remaining = F(1)
-    terms = []
-    while remaining > 0:
-        allowed = [[residual[i][j] > 0 for j in range(n)] for i in range(n)]
-        images = oracle_lex_min_matching(allowed)
-        coef = min(residual[images[j]][j] for j in range(n))
-        for j in range(n):
-            residual[images[j]][j] -= coef
-        remaining -= coef
-        terms.append((coef, Permutation(images)))
-    assert all(e == 0 for row in residual for e in row)
-    return tuple(terms)
+    for coef, p in terms:
+        along = [residual[i][j] for j, i in enumerate(p.images)]
+        assert min(along) > 0, "term leaves the positive support"
+        assert coef == min(along), "coefficient is not the least entry along the term"
+        for j, i in enumerate(p.images):
+            residual[i][j] -= coef
+    assert all(e == 0 for row in residual for e in row), "nonzero residual"

@@ -7,7 +7,7 @@ import pytest
 from erdosmat import birkhoff
 from erdosmat.birkhoff import (
     ConvexDecomposition,
-    _LexMinMatching,
+    _Matching,
     decompose,
     reduce_affine,
     reduce_linear,
@@ -15,6 +15,7 @@ from erdosmat.birkhoff import (
 from erdosmat.gram import half_identity_family
 from erdosmat.linalg import (
     BistochasticMatrix,
+    _peels_in_order,
     affine_independent,
     linear_independent,
 )
@@ -23,8 +24,8 @@ from erdosmat.rational import format_rational
 from erdosmat.sampling import random_bistochastic, random_permutation
 
 from conftest import (
-    oracle_decompose,
-    oracle_lex_min_matching,
+    oracle_greedy_replay,
+    oracle_matchable,
     oracle_reduce,
     unpeeled_independent,
 )
@@ -69,29 +70,40 @@ def test_decompose_is_deterministic():
         assert decompose(a).terms == decompose(a).terms
 
 
-def test_lex_min_matching_matches_oracle():
+def _check_matching(m, allowed) -> bool:
+    """``m`` holds a perfect matching inside ``allowed`` exactly when one exists; whether it does."""
+    n = len(allowed)
+    assert m.cols == [sum(1 << i for i in range(n) if allowed[i][j]) for j in range(n)]
+    assert (m.images is not None) == oracle_matchable(allowed)
+    if m.images is None:
+        return False
+    assert sorted(m.images) == list(range(n))
+    assert all(allowed[i][j] for j, i in enumerate(m.images))
+    assert all(m.col_of[i] == j for j, i in enumerate(m.images))
+    return True
+
+
+def test_matching_is_perfect_exactly_when_one_exists():
     rng = random.Random(73)
     found = {True: 0, False: 0}
     for n in range(1, 8):
         for density in (0.2, 0.35, 0.5, 0.7, 0.9):
             for _ in range(40):
                 allowed = [[rng.random() < density for _ in range(n)] for _ in range(n)]
-                images = _LexMinMatching(allowed).images
-                assert images == oracle_lex_min_matching(allowed)
-                found[images is None] += 1
+                found[_check_matching(_Matching(allowed), allowed)] += 1
     # both grids with and without a perfect matching are covered
     assert min(found.values()) > 100
 
 
-def test_warm_matching_matches_oracle_after_every_deletion():
+def test_warm_matching_stays_perfect_after_every_deletion():
     rng = random.Random(83)
     checks = {"repaired": 0, "lost": 0}
     for n in range(1, 9):
         for density in (0.4, 0.6, 0.8, 1.0):
             for _ in range(20):
                 allowed = [[rng.random() < density for _ in range(n)] for _ in range(n)]
-                m = _LexMinMatching(allowed)
-                assert m.images == oracle_lex_min_matching(allowed)
+                m = _Matching(allowed)
+                _check_matching(m, allowed)
                 while True:
                     cells = [(i, j) for i in range(n) for j in range(n) if allowed[i][j]]
                     if not cells:
@@ -105,45 +117,40 @@ def test_warm_matching_matches_oracle_after_every_deletion():
                     for i, j in gone:
                         allowed[i][j] = False
                     m.delete(gone)
-                    assert m.images == oracle_lex_min_matching(allowed)
-                    assert m.rows == [
-                        sum(1 << j for j in range(n) if allowed[i][j]) for i in range(n)
-                    ]
-                    assert m.cols == [
-                        sum(1 << i for i in range(n) if allowed[i][j]) for j in range(n)
-                    ]
-                    if m.images is not None:
-                        assert all(m.col_of[i] == j for j, i in enumerate(m.images))
+                    if _check_matching(m, allowed):
                         checks["repaired"] += 1
-                    elif had:
-                        checks["lost"] += 1
+                    else:
+                        checks["lost"] += had
     assert checks["repaired"] > 1500 and checks["lost"] > 300
 
 
-def test_greedy_rounds_change_the_prefix_before_the_first_zeroed_column(monkeypatch):
-    # the least matching after a round may differ from the last one
-    # before the first zeroed column k, so the repair must not keep the
-    # columns before k
+def test_greedy_rounds_run_one_search_per_freed_column(monkeypatch):
     rounds = []
-    delete = _LexMinMatching.delete
+    delete, augment = _Matching.delete, _Matching._augment
+    searches = [0]
+
+    def counting(self, *args):
+        searches[0] += 1
+        return augment(self, *args)
 
     def recording(self, cells):
-        before = list(self.images)
+        freed = {j for i, j in cells if self.images[j] == i}
+        searches[0] = 0
         delete(self, cells)
         if self.images is not None:
-            k = min(j for _, j in cells)
-            j0 = next(j for j, i in enumerate(self.images) if i != before[j])
-            rounds.append((j0, k))
+            rounds.append((searches[0], len(freed)))
 
-    monkeypatch.setattr(birkhoff._LexMinMatching, "delete", recording)
+    monkeypatch.setattr(birkhoff._Matching, "_augment", counting)
+    monkeypatch.setattr(birkhoff._Matching, "delete", recording)
     rng = random.Random(89)
-    for n in (8, 10, 12):
+    for n in (8, 9, 10, 11, 12):
         for _ in range(3):
             a = random_bistochastic(n, rng, max_terms=3 * n)
-            assert decompose(a).terms == oracle_decompose(a)
-    assert all(j0 <= k for j0, k in rounds)
-    early = sum(j0 < k for j0, k in rounds)
-    assert 0 < early < len(rounds)
+            d = decompose(a)
+            oracle_greedy_replay(a, d.terms)
+    assert len(rounds) > 100
+    assert all(calls == freed for calls, freed in rounds)
+    assert any(freed > 1 for _, freed in rounds)
 
 
 def test_decompose_matches_oracle():
@@ -151,7 +158,7 @@ def test_decompose_matches_oracle():
     matrices = [BistochasticMatrix.uniform(n) for n in range(1, 8)]
     for n in range(3, 7):
         matrices += half_identity_family(n)
-    for n in range(3, 10):
+    for n in range(1, 13):
         matrices += [random_bistochastic(n, rng, max_terms=3 * n) for _ in range(3)]
     # weights with large coprime denominators: 1/p for distinct large primes
     primes = (1_000_003, 999_983, 1_000_033, 998_244_353, 1_000_000_007)
@@ -161,7 +168,11 @@ def test_decompose_matches_oracle():
         perms = [random_permutation(n, rng) for _ in weights]
         matrices.append(BistochasticMatrix.combination(zip(weights, perms)))
     for a in matrices:
-        assert decompose(a).terms == oracle_decompose(a)
+        d = decompose(a)
+        oracle_greedy_replay(a, d.terms)
+        assert d.matrix() == a and len(d) <= (a.n - 1) ** 2 + 1
+        assert _peels_in_order([{j * a.n + i for j, i in enumerate(p)} for p in d._images])
+        assert reduce_linear(d) is d and decompose(a) == d
 
 
 def test_reduce_affine_unchanged_when_independent(ref):
@@ -323,7 +334,7 @@ def test_decompose_builds_terms_only_when_read(ref):
     assert d.matrix() == ref["R"] and len(d.to_json()) == len(d) == 3
     assert d._terms is None
     assert d == ConvexDecomposition(d.terms) and d._terms is not None
-    assert d.terms == oracle_decompose(ref["R"])
+    oracle_greedy_replay(ref["R"], d.terms)
 
 
 def test_integer_constructor_messages_match_term_constructor():
