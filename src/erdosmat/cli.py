@@ -270,13 +270,8 @@ def cmd_enumerate(args) -> int:
 
     progress = None
     if not args.quiet:
-        state = {"last": -1}
-
         def progress(done, total):
-            decile = 10 * done // total
-            if decile != state["last"]:
-                state["last"] = decile
-                print(f"enumerate n={args.n}: {done}/{total} subtrees", file=sys.stderr)
+            print(f"enumerate n={args.n}: {done}/{total} subtrees", file=sys.stderr)
 
     report = enumerate_erdos(
         args.n,

@@ -14,8 +14,9 @@ least among their conjugates, and counts each for its whole orbit.
 One call of the walk covers the whole tree in one process: {I}, then
 every least pair {I, a}, then each pair's subtree, so a budgeted run has
 the classes of the smallest supports before it descends.  Every emitted
-class is re-verified through the exact rational pipeline of ``gram``
-after canonicalization.
+class is re-checked once, by paths that share no arithmetic with the
+walk: ``linalg``'s independence test on its support, the combination of
+its weights, and ``is_erdos`` on its canonical matrix.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from . import gram as gram_mod
 from . import kernels
-from .assignment import frobenius_sq, is_erdos
-from .linalg import BistochasticMatrix
+from .assignment import is_erdos
+from .linalg import BistochasticMatrix, linear_independent
 from .perms import all_permutations
 from .rational import format_rational
 
@@ -214,8 +214,8 @@ def canonical_form(a: BistochasticMatrix) -> BistochasticMatrix:
     """The lexicographically least row-major flattening of PAQ over all P, Q.
 
     Two matrices are equivalent exactly when their canonical forms are
-    equal.  Entries are coded by the rank of their integer numerator over
-    the matrix's scale and the least order is found by ``_canonical_order``.
+    equal.  The least order of the integer numerators over the matrix's
+    scale is found by ``_canonical_order``.
 
     Why a row-by-row search is exact: for a fixed row order the least
     column order sorts the columns as vectors, and sorting columns by
@@ -230,9 +230,7 @@ def canonical_form(a: BistochasticMatrix) -> BistochasticMatrix:
     if n > CANON_CAP:
         raise ValueError(f"canonical form is capped at n={CANON_CAP}, got {n}")
     nums = a.numerators
-    values = sorted({v for row in nums for v in row})
-    code = {v: k for k, v in enumerate(values)}
-    rp, cols = _canonical_order([[code[v] for v in row] for row in nums])
+    rp, cols = _canonical_order(nums)
     return BistochasticMatrix._from_numerators(a.scale, [[nums[r][c] for c in cols] for r in rp])
 
 
@@ -304,15 +302,11 @@ def enumerate_erdos(
     classes still verified.  ``progress(done, total)`` is called once per
     least pair {I, g} whose subtree the walk has finished.
 
-    Budget slack: the clock is read every ``max(1, kernels.CLOCK_WORK //
-    n!)`` tried extensions (1,024 at n = 4, 204 at n = 5, 34 at n = 6),
-    visited or not, so the search stops at most that many extensions past
-    the deadline: on a 2-core machine the longest such stretch took 0.02
-    to 0.06 s at n = 4, 0.013 s at n = 5 and 0.008 s at n = 6.  Building
-    the classes after the search (one canonical order per distinct matrix
-    found, about 0.08 ms each at n = 5 and 0.35 ms at n = 6) is not cut
-    short and comes on top; at n = 6 a 2 s budget finds about 15 distinct
-    matrices, so the run returns after about 2.02 s.
+    Budget slack: the clock is read before every tried extension, so the
+    search stops within one try of the deadline; on a 2-core machine the
+    longest try of a 2 s run took 5 ms at n = 4 and 3 ms at n = 5 and 6.
+    Building the classes found (43 ms for 38 at n = 4, 9 ms for 15 at
+    n = 6) is not cut short and comes on top.
     """
     if not 2 <= n <= CANON_CAP:
         raise ValueError(f"enumeration supports 2 <= n <= {CANON_CAP}, got {n}")
@@ -344,7 +338,7 @@ def enumerate_erdos(
 
 
 def _build_classes(tables: _Tables, accepted) -> list:
-    """Canonicalize the walk's accepted candidates, deduplicate, and re-verify.
+    """Canonicalize the walk's accepted candidates, deduplicate, and re-check.
 
     ``accepted`` lists (support ranks, u, s, anum, weight) as
     ``kernels.run_shard`` returns them; each adds ``weight`` sources, the
@@ -354,20 +348,26 @@ def _build_classes(tables: _Tables, accepted) -> list:
     the LCM of its denominators and equivalent matrices share it.  The
     canonical order of the integer rows of each distinct raw matrix then
     identifies the class without building any ``Fraction``.  A class keeps
-    its least (size, support ranks) representative.
+    its least (size, support ranks) representative, with that support's
+    u, s and raw key.
 
-    Each class matrix is built from its numerators and re-checked
-    independently of the walk: a fresh ``gram.pipeline`` on its support
-    (a ``linalg`` elimination and a certified Hungarian optimum, not the
-    walk's incremental Bareiss and brute maximum), its canonical form, the
-    Erdos verdict, and ``value == frob == common value``.
+    Each class is re-checked once, by paths that share no arithmetic with
+    the walk: its support is linearly independent (``linalg``), its
+    nonnegative weights u_k / s rebuild the raw matrix exactly through
+    ``BistochasticMatrix.combination``, and ``is_erdos`` holds on the
+    canonical matrix.  On an independent support a matrix's coefficients
+    are unique, and every Birkhoff term of a certified Erdos matrix is a
+    witness (Marcus-Ree equality), so the weights are the support's Gram
+    candidate and the common value is the certificate's.  A complete
+    run's representatives have no zero weight: dropping such a term
+    leaves an equivalent, shorter support that the walk also visits.
     """
     n = tables.n
     raws: dict = {}
-    for support_ranks, _, s, anum, weight in accepted:
+    for support_ranks, u, s, anum, weight in accepted:
         g = gcd(s, *anum)
         key = (s // g, tuple(v // g for v in anum))
-        _add_sources(raws, key, weight, (len(support_ranks), support_ranks))
+        _add_sources(raws, key, weight, (len(support_ranks), support_ranks, u, s, key))
     grouped: dict = {}
     for (s, anum), (count, rep) in raws.items():
         rp, cols = _canonical_order([anum[i * n:(i + 1) * n] for i in range(n)])
@@ -375,30 +375,21 @@ def _build_classes(tables: _Tables, accepted) -> list:
         _add_sources(grouped, key, count, rep)
 
     classes = []
-    for (s, flat), (sources, rep) in grouped.items():
+    for (s, flat), (sources, (_, support_ranks, u, u_sum, raw)) in grouped.items():
+        support = tuple(tables.perms[r] for r in support_ranks)
+        if not linear_independent(support):
+            raise RuntimeError("class support is linearly dependent")
+        weights = tuple(Fraction(v, u_sum) for v in u)
+        rebuilt = BistochasticMatrix.combination(zip(weights, support))
+        if min(u) < 0 or (rebuilt.scale, sum(rebuilt.numerators, ())) != raw:
+            raise RuntimeError("class weights do not rebuild the walk's matrix")
         canon = BistochasticMatrix._from_numerators(
             s, [flat[i * n:(i + 1) * n] for i in range(n)]
         )
-        _, support_ranks = rep
-        support = tuple(tables.perms[r] for r in support_ranks)
-        res = gram_mod.pipeline(list(support))
-        if res.status != gram_mod.STATUS_OK:
-            raise RuntimeError("class re-verification failed in the exact pipeline")
-        if canonical_form(res.matrix) != canon:
-            raise RuntimeError("class representative does not match its canonical form")
         verdict, cert = is_erdos(canon)
-        frob = frobenius_sq(canon)
-        if not verdict or cert.value != frob or frob != res.solution.common_value:
+        if not verdict:
             raise RuntimeError("canonical matrix failed the Erdos re-check")
-        classes.append(
-            ErdosClass(
-                canonical=canon,
-                support=support,
-                weights=res.solution.x,
-                common_value=res.solution.common_value,
-                frob_sq=frob,
-                sources=sources,
-            )
-        )
+        value = cert.value
+        classes.append(ErdosClass(canon, support, weights, value, value, sources))
     classes.sort(key=lambda c: (c.frob_sq, c.canonical.flatten()))
     return classes

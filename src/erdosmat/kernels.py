@@ -25,7 +25,8 @@ division and the back substitution are those of ``linalg``'s solves
 (``_exact_div``, ``_back_substitute``); only the symmetric push and pop
 that grow and shrink the elimination are the walk's own.  Bareiss
 divisions are exact in theory; each one is checked, and a remainder
-raises ``ArithmeticError`` instead of being rounded away.
+raises ``ArithmeticError`` instead of being rounded away.  A budgeted
+walk reads the clock before every try; a read costs a small part of one.
 """
 
 from __future__ import annotations
@@ -35,11 +36,6 @@ from math import gcd
 from operator import or_
 
 from .linalg import _back_substitute, _exact_div
-
-# the clock is read once per max(1, CLOCK_WORK // n!) tried extensions:
-# each try ORs n! - 1 image masks, so the stride keeps the work between
-# two reads about level across dimensions (1,024 tries at n = 4)
-CLOCK_WORK = 24 * 1024
 
 
 class _Deadline(Exception):
@@ -145,10 +141,10 @@ def run_shard(tables, max_support: int, deadline: float | None = None, progress=
     ``accepted`` lists (support, u, s, anum, weight), the candidate's
     weights being u/s in lowest terms, anum the row-major entries of
     sum u_k P_k, the candidate matrix times s, and weight the size of the
-    support's orbit.  The clock (``time.time``) is read every
-    ``max(1, CLOCK_WORK // n!)`` tried extensions, {I} counting as the
-    first; once ``deadline`` has passed the walk stops with ``truncated``
-    set, leaving the pending extension uncounted.
+    support's orbit.  Given a ``deadline``, the clock (``time.time``) is
+    read before every tried extension, visited or not, {I} counting as
+    the first; once the deadline has passed the walk stops with
+    ``truncated`` set, leaving the pending extension uncounted.
     """
     pos = tables.pos
     agree = tables.agree
@@ -164,15 +160,10 @@ def run_shard(tables, max_support: int, deadline: float | None = None, progress=
     stats = [0, 0, 0, 0]
     accepted = []
     pairs = []
-    tried = 0
-    every = max(1, CLOCK_WORK // nperms)
 
     def tick() -> None:
-        nonlocal tried
-        if tried % every == 0 and deadline is not None:
-            if time.time() >= deadline:
-                raise _Deadline
-        tried += 1
+        if deadline is not None and time.time() >= deadline:
+            raise _Deadline
 
     def visit(weight: int) -> None:
         stats[0] += weight

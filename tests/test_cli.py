@@ -125,6 +125,15 @@ def test_enumerate_n2_json(capsys):
         assert set(entry) == {"matrix", "support", "weights", "value", "sources"}
 
 
+def test_enumerate_progress_on_stderr(capsys):
+    # one line per finished subtree of a least pair {I, g}, 4 of them at n = 4
+    assert main(["enumerate", "-n", "4", "--max-support", "3"]) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"enumerate n=4: {k}/4 subtrees" for k in range(1, 5)]
+    assert main(["enumerate", "-n", "4", "--max-support", "3", "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_enumerate_bad_n(capsys):
     assert main(["enumerate", "-n", "9", "--quiet"]) == 2
     assert "error:" in capsys.readouterr().err

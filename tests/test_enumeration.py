@@ -6,7 +6,7 @@ from math import lcm
 
 import pytest
 
-from erdosmat import kernels
+from erdosmat import enumeration, gram, kernels
 from erdosmat.assignment import frobenius_sq, is_erdos
 from erdosmat.enumeration import (
     _build_classes,
@@ -153,6 +153,14 @@ def test_enumerate_n3_catalog(ref):
     assert report.rejected_maxtr == 0
 
 
+def _record(perms, ranks, x):
+    """An accepted record as ``kernels.run_shard`` lists it, for weights x."""
+    s = lcm(*(v.denominator for v in x))
+    u = tuple(int(v * s) for v in x)
+    a = BistochasticMatrix.combination(zip(x, [perms[r] for r in ranks]))
+    return (tuple(ranks), u, s, [int(e * s) for e in a.flatten()], 1)
+
+
 def _record_pipeline(stats, accepted, tables, ranks):
     """File the ``gram.pipeline`` verdict (``Fraction`` arithmetic) on one support.
 
@@ -167,10 +175,7 @@ def _record_pipeline(stats, accepted, tables, ranks):
         stats[2] += 1
     else:
         assert res.status == STATUS_OK, (ranks, res.status)
-        x = res.solution.x
-        s = lcm(*(v.denominator for v in x))
-        anum = [int(e * s) for e in res.matrix.flatten()]
-        accepted.append((ranks, tuple(int(v * s) for v in x), s, anum, 1))
+        accepted.append(_record(tables.perms, ranks, res.solution.x))
 
 
 def test_engines_agree_n3():
@@ -223,6 +228,64 @@ def test_build_classes_matches_rowscan_grouping():
         c.canonical.flatten(): (c.sources, tuple(p.rank() for p in c.support))
         for c in classes
     } == {key: (sources, rep[1]) for key, (sources, rep) in expected.items()}
+    # the Gram path the walk's classes no longer run: the same weights,
+    # value and class on every representative support
+    for c in classes:
+        res = pipeline(list(c.support))
+        assert res.status == STATUS_OK
+        assert res.solution.x == c.weights
+        assert res.solution.common_value == c.common_value == c.frob_sq
+        assert rowscan_canonical_flatten(res.matrix) == c.canonical.flatten()
+
+
+def test_build_classes_rejects_corrupted_records():
+    # each record fails exactly one of the three re-checks
+    tables = get_tables(3)
+    _, accepted, _ = kernels.run_shard(tables, 5)
+    ranks, u, s, anum, weight = next(r for r in accepted if len(set(r[1])) > 1)
+    i, j = next((i, j) for i in range(len(u)) for j in range(i) if u[i] != u[j])
+    swapped = list(u)
+    swapped[i], swapped[j] = u[j], u[i]
+    with pytest.raises(RuntimeError, match="do not rebuild"):
+        _build_classes(tables, [(ranks, tuple(swapped), s, anum, weight)])
+
+    # all of S_3 at weight 1/6: a dependent support whose matrix, J_3, is Erdos
+    everything = _record(tables.perms, range(6), [F(1, 6)] * 6)
+    assert is_erdos(BistochasticMatrix.uniform(3))[0]
+    with pytest.raises(RuntimeError, match="dependent"):
+        _build_classes(tables, [everything])
+
+    # a positive n = 4 candidate that the Gram path rejects on its maximal trace
+    tables = get_tables(4)
+    for rest in itertools.combinations(range(1, 24), 2):
+        res = pipeline([tables.perms[r] for r in (0,) + rest])
+        if res.status == REJECT_MAXTR and min(res.solution.x) > 0:
+            break
+    else:
+        pytest.fail("no maxtr_exceeded support of size 3 at n = 4")
+    bad = _record(tables.perms, (0,) + rest, res.solution.x)
+    with pytest.raises(RuntimeError, match="Erdos re-check"):
+        _build_classes(tables, [bad])
+
+
+def test_enumeration_checks_each_class_once(monkeypatch):
+    # one is_erdos call per class, and no Gram pipeline or canonical_form
+    calls = {"is_erdos": 0, "pipeline": 0, "canonical_form": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(enumeration, "is_erdos", counted("is_erdos", is_erdos))
+    monkeypatch.setattr(gram, "pipeline", counted("pipeline", pipeline))
+    monkeypatch.setattr(
+        enumeration, "canonical_form", counted("canonical_form", canonical_form)
+    )
+    report = enumerate_erdos(4, max_support=6)
+    assert len(report.classes) == 41
+    assert calls == {"is_erdos": 41, "pipeline": 0, "canonical_form": 0}
 
 
 def test_class_invariants_and_counters():

@@ -246,43 +246,42 @@ def _counted(records, tried):
     return tuple(stats)
 
 
-def test_clock_read_every_clock_every_nodes(monkeypatch):
-    # the clock ticks on tried extensions, visited or not: the third
-    # reading is past the deadline, so the walk stops after two full
-    # stretches of CLOCK_WORK // n! tries and counts exactly those
+def test_walk_stops_after_k_tries_when_clock_read_k_plus_1_is_late(monkeypatch):
+    # the clock is read before every tried extension, visited or not:
+    # with readings 1..k before the deadline and reading k + 1 past it,
+    # the walk stops after exactly k tries and counts exactly those
     records = _records(3, 5)
     tried = _tries(records, 6, 5)
     assert _counted(records, tried) == (31, 0, 0, 0)
     assert not all(records[ranks][0] for ranks in tried[:8])
-    readings = iter([0.0, 0.0, 2.0])
+    for k in range(1, len(tried)):
+        readings = iter([0.0] * k + [2.0])
 
-    class Clock:
-        @staticmethod
-        def time():
-            return next(readings)
+        class Clock:
+            @staticmethod
+            def time():
+                return next(readings)
 
-    monkeypatch.setattr(kernels, "CLOCK_WORK", 24)  # 24 // 3! = 4 tries
-    monkeypatch.setattr(kernels, "time", Clock)
-    stats, _, truncated = kernels.run_shard(get_tables(3), 5, deadline=1.0)
-    assert truncated
-    assert stats == _counted(records, tried[:8])
+        monkeypatch.setattr(kernels, "time", Clock)
+        stats, _, truncated = kernels.run_shard(get_tables(3), 5, deadline=1.0)
+        assert truncated
+        assert stats == _counted(records, tried[:k]), k
 
 
 def test_walk_stopped_after_the_pairs_has_the_support_2_classes(monkeypatch):
     # the walk tries {I} and the n! - 1 pairs before any subtree: with the
-    # clock read on tries 0 and n! only, and past the deadline the second
-    # time, it stops on the first try of the first subtree, and has then
-    # found exactly what the max_support = 2 walk finds
+    # clock before the deadline on those n! tries and past it on the next,
+    # it stops on the first try of the first subtree, and has then found
+    # exactly what the max_support = 2 walk finds
     n = 4
     tables = get_tables(n)
-    readings = iter([0.0, 2.0])
+    readings = iter([0.0] * 24 + [2.0])
 
     class Clock:
         @staticmethod
         def time():
             return next(readings)
 
-    monkeypatch.setattr(kernels, "CLOCK_WORK", 24 * 24)  # 576 // 4! = 24 tries
     monkeypatch.setattr(kernels, "time", Clock)
     stats, accepted, truncated = kernels.run_shard(tables, 5, deadline=1.0)
     assert truncated
@@ -307,10 +306,9 @@ def test_progress_once_per_pair_subtree(n, pairs):
     assert calls == []
 
 
-def test_clock_stride_follows_the_dimension(monkeypatch):
-    # with cap 2 the walk tries {I} and all n! - 1 pairs; the clock is
-    # read on tries 0, m, 2m, ... with m = CLOCK_WORK // n! (1,024 at
-    # n = 4, 34 at n = 6)
+def test_cap_2_walk_reads_the_clock_once_per_try(monkeypatch):
+    # with cap 2 the walk tries {I} and all n! - 1 pairs, reading the
+    # clock before each of them
     reads = []
 
     class Clock:
@@ -320,11 +318,11 @@ def test_clock_stride_follows_the_dimension(monkeypatch):
             return 0.0
 
     monkeypatch.setattr(kernels, "time", Clock)
-    for n, expected in ((4, 1), (5, 1), (6, 22)):
+    for n, nperms in ((4, 24), (5, 120), (6, 720)):
         reads.clear()
         _, _, truncated = kernels.run_shard(get_tables(n), 2, deadline=1.0)
         assert not truncated
-        assert len(reads) == expected
+        assert len(reads) == nperms
 
 
 def _state(elim):
