@@ -12,13 +12,17 @@ One round runs ``enumerate_erdos(n, max_support=cap)`` for every
 cache is emptied before every run, so this includes building them),
 ``classes`` the time in ``enumeration._build_classes`` (canonical forms
 and re-verification), and ``walk`` the rest of the run: the walk
-itself, one ``kernels.run_shard`` call from {I}.  Each run of the plan
-reports a digest of the report's JSON payload without
-``elapsed_seconds``, ``rejected_dependent`` (the one counter whose
-meaning may differ between walks) and ``workers`` (a key that older
-checkouts print), so equal digests show that both sides found the same
-classes, supports, weights, sources and counters.  ``layers.py`` runs
-the rounds, the sides and the summary.
+itself, one ``kernels.run_shard`` call from {I}, which carries the
+Gram determinant and adjugate down the tree and visits one support per
+orbit under ``S -> t s^-1 S t^-1``.  Each run of the plan reports a
+digest of the report's JSON payload without ``elapsed_seconds``,
+``rejected_dependent`` and ``workers`` (a key that older checkouts
+print), so equal digests show that both sides found the same classes,
+supports, weights, sources and weighted counters.  ``rejected_dependent``
+is left out because it counts the dependent extensions tried from the
+visited supports: a walk that prunes by another symmetry visits other
+supports and reads another count.  ``layers.py`` runs the rounds, the
+sides and the summary.
 """
 
 from __future__ import annotations

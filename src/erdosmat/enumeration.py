@@ -5,11 +5,13 @@ identity (fixing it costs no generality up to equivalence), extends only
 while the set stays linearly independent, tests the candidate at every
 node, and deduplicates accepted matrices by their canonical form under
 row/column permutation equivalence.  Every node is visited by the
-integer walk of ``kernels``, which carries one fraction-free elimination
-of the Gram system down the tree.  The walk is orderly under conjugation
-``P -> s P s^-1``, which fixes the identity and maps each candidate to an
-equivalent one: it visits only the supports that are lexicographically
-least among their conjugates, and counts each for its whole orbit.
+integer walk of ``kernels``, which carries the determinant and adjugate
+of the Gram matrix down the tree.  The walk is orderly under the maps
+``S -> t s^-1 S t^-1`` (s in S, t in S_n), which take a support onto the
+supports containing the identity among its ``P S Q`` and each candidate
+to an equivalent one: it visits only the supports that are
+lexicographically least among their images, and counts each for its
+whole orbit.
 
 One call of the walk covers the whole tree in one process: {I}, then
 every least pair {I, a}, then each pair's subtree, so a budgeted run has
@@ -65,11 +67,13 @@ class EnumerationReport:
 
     ``sets_visited``, ``rejected_negative``, ``rejected_maxtr`` and each
     class's ``sources`` count linearly independent supports containing the
-    identity, every one of them, though the walk visits one per
-    conjugacy orbit.  ``rejected_dependent`` counts the dependent
-    extensions tried from the visited supports, each least in its own
-    orbit; orbits do not weight it, so it is not a count of all dependent
-    supports.
+    identity, every one of them, though the walk visits one per orbit:
+    the supports containing the identity among the ``P S Q`` of one
+    support S, over all permutation matrices P and Q.  A support is least
+    in its orbit when its sorted ranks are lexicographically least there.
+    ``rejected_dependent`` counts the dependent extensions tried from the
+    visited supports, each least in its own orbit; orbits do not weight
+    it, so it is not a count of all dependent supports.
     """
 
     n: int
@@ -106,12 +110,11 @@ class _Tables:
     consecutive values per rank, as one ``itemgetter`` built once here
     rather than once per walk.
 
-    ``conj[k]`` is the rank table of the conjugation ``p -> s p s^-1`` by
-    the permutation s of rank k + 1: ``conj[k][r]`` is the rank of the
-    image of r.  The walk codes a support as a mask with bit
-    ``bit[r] = 1 << (n! - 1 - r)`` for each rank r, and ``conj_bits[r]``
-    lists the bits of r's images under every conjugation, in the order of
-    ``conj``.
+    ``left[a][b]`` is the rank of ``a^-1 b``.  The walk codes a support as
+    a mask with bit ``bit[r] = 1 << (n! - 1 - r)`` for each rank r, and
+    ``conj_bits[r][k]`` is the bit of the image of r under the
+    conjugation ``p -> s p s^-1`` by the permutation s of rank k, the
+    identity's first.
     """
 
     def __init__(self, n: int):
@@ -122,38 +125,37 @@ class _Tables:
         )
         self.on_perms = operator.itemgetter(*[j for p in self.pos for j in p])
         images = [p.images for p in self.perms]
-        self.agree = _agreement_table(images)
-        self.conj = _conjugation_tables(images)
+        self.left = _left_tables(images)
+        fix = [sum(p[i] == i for i in range(n)) for p in images]
+        # a and b agree at i exactly when i is a fixed point of a^-1 b
+        self.agree = tuple(operator.itemgetter(*row)(fix) for row in self.left)
         nperms = len(images)
         self.bit = tuple(1 << (nperms - 1 - r) for r in range(nperms))
         self.conj_bits = tuple(
-            tuple(map(self.bit.__getitem__, col)) for col in zip(*self.conj)
+            tuple(map(self.bit.__getitem__, col))
+            for col in zip(*_conjugation_tables(images))
         )
 
 
-def _agreement_table(images) -> tuple:
-    """``agree[a][b]``, the number of points where permutations a and b agree.
+def _left_tables(images) -> tuple:
+    """``left[a][b]``, the rank of ``a^-1 b``, for permutations a and b in rank order.
 
-    a and b agree at i exactly when i is a fixed point of ``a^-1 b``, so
-    row a is ``fix[L_a[b]]``, with ``fix[r]`` the fixed-point count of
-    rank r and ``L_a[b]`` the rank of ``a^-1 b``: one ``itemgetter`` call
-    per row.  ``L_{s t}[b] = T_t[L_s[b]]`` with ``T_t[r]`` the rank of
-    ``t p_r``, so the ``L`` tables are composed breadth first from the
-    n - 1 adjacent transpositions t.
+    ``left[s t][b] = T_t[left[s][b]]`` with ``T_t[r]`` the rank of
+    ``t p_r``, so the tables are composed breadth first from the n - 1
+    adjacent transpositions t, one ``itemgetter`` call each.
     """
     n = len(images[0])
     rank = {p: r for r, p in enumerate(images)}
-    fix = [sum(p[i] == i for i in range(n)) for p in images]
     steps = []
     for k in range(n - 1):
         t = _adjacent_transposition(n, k)
         step = tuple(rank[tuple(t[i] for i in p)] for p in images)
         steps.append((k, lambda table, step=step: operator.itemgetter(*table)(step)))
-    return tuple(operator.itemgetter(*table)(fix) for table in _over_group(images, steps))
+    return _over_group(images, steps)
 
 
 def _conjugation_tables(images) -> tuple:
-    """Rank tables of the conjugations ``p -> s p s^-1``, s != id, by rank of s.
+    """Rank tables of the conjugations ``p -> s p s^-1``, by rank of s.
 
     ``images`` lists S_n in rank order.  Only the n - 1 adjacent
     transpositions t are conjugated directly.  Conjugating by ``s t`` is
@@ -168,7 +170,7 @@ def _conjugation_tables(images) -> tuple:
         t = _adjacent_transposition(n, k)
         table = [rank[tuple(t[p[t[i]]] for i in range(n))] for p in images]
         steps.append((k, operator.itemgetter(*table)))
-    return _over_group(images, steps)[1:]
+    return _over_group(images, steps)
 
 
 def _adjacent_transposition(n: int, k: int) -> list:
@@ -303,10 +305,13 @@ def enumerate_erdos(
     least pair {I, g} whose subtree the walk has finished.
 
     Budget slack: the clock is read before every tried extension, so the
-    search stops within one try of the deadline; on a 2-core machine the
-    longest try of a 2 s run took 5 ms at n = 4 and 3 ms at n = 5 and 6.
-    Building the classes found (43 ms for 38 at n = 4, 9 ms for 15 at
-    n = 6) is not cut short and comes on top.
+    search stops within one try of the deadline.  A try ORs up to
+    2 |S| + 1 lists of n! image masks, so deep tries at n = 6 are the
+    longest: on a shared 2-core machine the longest try of a run with a
+    2 s budget took 1-10 ms at n = 4 (a complete run), 4-13 ms at n = 5
+    and 11-15 ms at n = 6, garbage collection included.  Building the
+    classes found (12 ms for 41 at n = 4, 10 ms for 15 at n = 6) is not
+    cut short and comes on top.
     """
     if not 2 <= n <= CANON_CAP:
         raise ValueError(f"enumeration supports 2 <= n <= {CANON_CAP}, got {n}")
@@ -342,7 +347,7 @@ def _build_classes(tables: _Tables, accepted) -> list:
 
     ``accepted`` lists (support ranks, u, s, anum, weight) as
     ``kernels.run_shard`` returns them; each adds ``weight`` sources, the
-    supports in the conjugacy orbit of its own, whose candidates are all
+    supports in the orbit of its own, whose candidates are all
     equivalent.  Candidates are first filed under a raw key (s, anum): the
     matrix anum / s reduced by the gcd of s and every numerator, so s is
     the LCM of its denominators and equivalent matrices share it.  The

@@ -14,9 +14,9 @@ determinant of the eliminated system, so d times the solution is an
 integer vector (Cramer), every division is checked exact, and one
 ``Fraction`` is built per output coordinate.  Singularity is detected
 by a pivot search finding only zeros, never by tolerance.  The one
-checked division, ``_exact_div``, and the one back substitution,
-``_back_substitute``, also serve the enumeration walk's incremental
-Gram elimination (``kernels._GramElimination``).
+checked division, ``_exact_div``, also serves the enumeration walk's
+bordered Gram adjugate (``kernels._extend`` and
+``kernels._bordered_adjugate``).
 
 Independence of permutation matrices is decided the same way after a
 peeling pass: a permutation that is the only one with a 1 in some cell
@@ -379,31 +379,26 @@ def _augmented(m: Matrix, extra) -> list:
     return out
 
 
-def _back_substitute(piv, upper) -> tuple:
-    """Integer back substitution on a Bareiss triangle: (d, u) with solution u / d.
+def _back_substitute(rows, n: int, rhs_col: int) -> tuple:
+    """Integer back substitution on Bareiss-eliminated rows: (d, u) with solution u / d.
 
-    ``piv[i]`` is pivot i, and ``upper[i]`` the entries of its row right
-    of the pivot, the right-hand side last.  The last pivot is the
-    determinant of the (row-permuted) system, so by Cramer's rule d times
-    the solution is an integer vector u, and
-    u[i] = (d b[i] - sum_{j > i} U[i][j] u[j]) / piv[i] divides exactly
-    (checked; the last, d b[-1] / d, needs no division).  d is made positive.
+    Rows 0..n-1 have their pivots at (i, i), and column ``rhs_col`` holds
+    the right-hand side b.  The last pivot d is the determinant of the
+    (row-permuted) system, so by Cramer's rule d times the solution is an
+    integer vector u, and
+    u[i] = (d b[i] - sum_{i < j < n} rows[i][j] u[j]) / rows[i][i] divides
+    exactly (checked; the last, d b[-1] / d, needs no division).  d is
+    made positive.
     """
-    d = piv[-1]
-    u = [0] * len(piv)
-    u[-1] = upper[-1][-1]
-    for i in range(len(piv) - 2, -1, -1):
-        row = upper[i]
-        u[i], = _exact_div([d * row[-1] - sum(map(mul, row, u[i + 1:]))], piv[i])
+    d = rows[n - 1][n - 1]
+    u = [0] * n
+    u[-1] = rows[n - 1][rhs_col]
+    for i in range(n - 2, -1, -1):
+        row = rows[i]
+        u[i], = _exact_div([d * row[rhs_col] - sum(map(mul, row[i + 1:n], u[i + 1:]))], row[i])
     if d < 0:
         return -d, [-v for v in u]
     return d, u
-
-
-def _triangle(rows, n: int, rhs_col: int) -> tuple:
-    """``_back_substitute``'s input from eliminated rows with pivots (i, i), i < n."""
-    upper = [row[i + 1:n] + [row[rhs_col]] for i, row in enumerate(rows[:n])]
-    return [rows[i][i] for i in range(n)], upper
 
 
 def _eliminate_square(rows, n) -> None:
@@ -426,7 +421,7 @@ def solve_integer(a, b) -> tuple:
     rows = [list(row) + [v] for row, v in zip(a, b)]
     n = len(rows)
     _eliminate_square(rows, n)
-    return _back_substitute(*_triangle(rows, n, n))
+    return _back_substitute(rows, n, n)
 
 
 def solve(m: Matrix, rhs) -> tuple:
@@ -439,7 +434,7 @@ def solve(m: Matrix, rhs) -> tuple:
         raise ValueError(f"right-hand side has {len(b)} entries, expected {n}")
     rows = _augmented(m, [[e] for e in b])
     _eliminate_square(rows, n)
-    d, u = _back_substitute(*_triangle(rows, n, n))
+    d, u = _back_substitute(rows, n, n)
     return tuple(Fraction(v, d) for v in u)
 
 
@@ -450,7 +445,7 @@ def inverse(m: Matrix) -> Matrix:
         raise ValueError(f"inverse requires a square matrix, got {m.shape}")
     rows = _augmented(m, _identity_rows(n))
     _eliminate_square(rows, n)
-    cols = [_back_substitute(*_triangle(rows, n, n + k)) for k in range(n)]
+    cols = [_back_substitute(rows, n, n + k) for k in range(n)]
     # every column shares the last pivot as its denominator
     return Matrix._from_numerators(cols[0][0], zip(*(u for _, u in cols)))
 
@@ -471,7 +466,7 @@ def solve_tall(m: Matrix, rhs) -> tuple:
         raise ValueError("system is inconsistent")
     if len(pivots) < nc:
         raise ValueError("matrix does not have full column rank")
-    d, u = _back_substitute(*_triangle(rows, nc, nc))
+    d, u = _back_substitute(rows, nc, nc)
     return tuple(Fraction(v, d) for v in u)
 
 
@@ -502,7 +497,7 @@ def _integer_kernel_vector(rows, nc: int):
     x = [0] * nc
     x[f] = 1
     if f:
-        x[f], u = _back_substitute(*_triangle(rows, f, f))
+        x[f], u = _back_substitute(rows, f, f)
         x[:f] = (-v for v in u)
     return x
 

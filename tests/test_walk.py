@@ -3,10 +3,11 @@
 The oracle lists every support that contains the identity with
 ``itertools.combinations``, tests it with ``linalg.linear_independent``
 and runs ``gram.pipeline`` (``Fraction`` arithmetic) on the independent
-ones.  It finds each support's conjugacy orbit by brute force, conjugating
-by every s in S_n with ``Permutation`` products, and groups candidates
-into classes with the row-scan canonical form of ``conftest``.  It shares
-no arithmetic with the walk.
+ones.  It finds each support's orbit by brute force: the supports
+``t s^-1 S t^-1`` for every t in S_n and s in S, which are the supports
+containing the identity among the ``P S Q``, from tables of ``Permutation``
+products.  It groups candidates into classes with the row-scan canonical
+form of ``conftest``.  It shares no arithmetic with the walk.
 """
 
 import functools
@@ -20,7 +21,13 @@ import pytest
 from conftest import rowscan_canonical_flatten
 from erdosmat import gram, kernels
 from erdosmat.enumeration import _build_classes, enumerate_erdos, get_tables
-from erdosmat.linalg import BistochasticMatrix, linear_independent, solve_integer
+from erdosmat.linalg import (
+    BistochasticMatrix,
+    Matrix,
+    inverse,
+    linear_independent,
+    solve_integer,
+)
 from erdosmat.perms import Permutation
 
 
@@ -30,22 +37,41 @@ def _oracle_records(n, max_support):
 
     Maps the sorted ranks of each support of at most ``max_support``
     elements to (least, orbit, result): whether the ranks are
-    lexicographically least among the supports conjugate to it, the
-    number of those supports, and the ``gram.pipeline`` result (None for
-    a dependent support).
+    lexicographically least in the support's orbit, the number of
+    supports in it, and the ``gram.pipeline`` result (None for a
+    dependent support).  Orbits partition the supports of each size, so
+    each is listed once and shared by its members.
     """
     perms = [Permutation(p) for p in itertools.permutations(range(n))]
-    rank = {p: r for r, p in enumerate(perms)}
-    conj = [[rank[s * p * s.inverse()] for p in perms] for s in perms]
+    orbits = {}
     records = {}
     for size in range(1, max_support + 1):
         for rest in itertools.combinations(range(1, len(perms)), size - 1):
             ranks = (0,) + rest
-            orbit = {tuple(sorted(c[r] for r in ranks)) for c in conj}
+            if ranks not in orbits:
+                orbit = _orbit(n, ranks)
+                orbits.update(dict.fromkeys(orbit, orbit))
+            orbit = orbits[ranks]
             support = [perms[r] for r in ranks]
             res = gram.pipeline(support) if linear_independent(support) else None
             records[ranks] = (min(orbit) == ranks, len(orbit), res)
     return records
+
+
+@functools.lru_cache(maxsize=None)
+def _maps(n):
+    """Rank tables of ``p -> t p t^-1`` and ``p -> s^-1 p``, by rank of t and s."""
+    perms = [Permutation(p) for p in itertools.permutations(range(n))]
+    rank = {p: r for r, p in enumerate(perms)}
+    conj = [[rank[t * p * t.inverse()] for p in perms] for t in perms]
+    translate = [[rank[s.inverse() * p] for p in perms] for s in perms]
+    return conj, translate
+
+
+def _orbit(n, ranks):
+    """The sorted ranks of every ``t s^-1 S t^-1``, s in S and t in S_n."""
+    conj, translate = _maps(n)
+    return {tuple(sorted(c[translate[s][r]] for r in ranks)) for s in ranks for c in conj}
 
 
 # the largest support the tests walk in each dimension: the oracle runs
@@ -161,18 +187,46 @@ def test_walk_matches_oracle_n5_support_3():
 
 @pytest.mark.parametrize("n, max_support", [(3, 5), (4, 5), (5, 3)])
 def test_visited_supports_are_the_least_independent_ones(n, max_support):
-    # the orbit the walk weighs a least support by, n! over its stabiliser
-    # in the conjugation tables, is the oracle's brute-force orbit
+    # the orbit the walk weighs a least support by, n! |S| over the maps
+    # t s^-1 S t^-1 of the walk's tables that fix it, is the oracle's
+    # brute-force orbit
     tables = get_tables(n)
     for ranks, (is_least, orbit, res) in _records(n, max_support).items():
         if is_least and res is not None:
-            assert orbit == len(tables.pos) // _stabiliser(tables, ranks)
+            assert orbit == len(tables.pos) * len(ranks) // _stabiliser(tables, ranks)
 
 
 def _stabiliser(tables, ranks):
-    """The conjugations, the identity included, that fix the support."""
-    target = set(ranks)
-    return 1 + sum(1 for table in tables.conj if {table[r] for r in ranks} == target)
+    """The pairs (t, s), s in the support, with ``t s^-1 S t^-1 = S``."""
+    mask = sum(tables.bit[r] for r in ranks)
+    images = [
+        sum(masks) for s in ranks
+        for masks in zip(*(tables.conj_bits[tables.left[s][r]] for r in ranks))
+    ]
+    return images.count(mask)
+
+
+def test_full_n4_walk_accepts_least_supports_weighted_by_their_orbits():
+    # past the oracle's cap: every accepted support of the complete n = 4
+    # walk is least in its brute-force orbit and weighs that orbit's size,
+    # and the weighted count is that of the independent supports
+    # containing the identity, as the conjugation-only walk counted them
+    stats, accepted, _ = kernels.run_shard(get_tables(4), 10)
+    assert stats[0] == 949498
+    assert max(len(support) for support, *_ in accepted) > ORACLE_CAP[4]
+    for support, _, _, _, weight in accepted:
+        orbit = _orbit(4, support)
+        assert min(orbit) == support and len(orbit) == weight, support
+
+
+def test_prefixes_of_least_supports_are_least():
+    # dropping the largest element keeps a support least in its orbit,
+    # which is what lets the walk drop a support with its subtree
+    records = _records(4, 5)
+    least = [ranks for ranks, (is_least, _, _) in records.items() if is_least]
+    assert len(least) > 100
+    for ranks in least:
+        assert records[ranks[:-1] or (0,)][0], ranks
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -180,13 +234,13 @@ def test_conjugation_tables_match_brute_force(n):
     tables = get_tables(n)
     perms = list(tables.perms)
     rank = {p: r for r, p in enumerate(perms)}
-    assert tables.conj == tuple(
-        tuple(rank[s * p * s.inverse()] for p in perms) for s in perms[1:]
-    )
     nperms = len(perms)
     assert tables.conj_bits == tuple(
-        tuple(1 << (nperms - 1 - table[r]) for table in tables.conj)
-        for r in range(nperms)
+        tuple(1 << (nperms - 1 - rank[s * p * s.inverse()]) for s in perms)
+        for p in perms
+    )
+    assert tables.left == tuple(
+        tuple(rank[a.inverse() * b] for b in perms) for a in perms
     )
 
 
@@ -325,56 +379,72 @@ def test_cap_2_walk_reads_the_clock_once_per_try(monkeypatch):
         assert len(reads) == nperms
 
 
-def _state(elim):
-    return [list(elim.piv), [list(u) for u in elim.upper], elim.weights()]
+def _descend_randomly(n, rng):
+    """Seeded random supports of S_n grown from nothing by ``kernels._extend``.
+
+    Every permutation is tried once, in a random order.  Yields, for each
+    try, the grown support's ranks, the support's node (d, adj, z) and
+    ``_extend``'s (d', y, z'); the extension is kept, with the bordered
+    adjugate, when d' is nonzero.  Random permutations are rarely
+    dependent before they span, so most dependent tries come after.
+    """
+    agree = get_tables(n).agree
+    support, d, adj, z = [], 1, [], []
+    for r in rng.sample(range(len(agree)), len(agree)):
+        d2, y, z2 = kernels._extend(d, adj, z, [agree[r][b] for b in support], n)
+        yield support + [r], (d, adj, z), (d2, y, z2)
+        if d2:
+            support.append(r)
+            d, adj, z = d2, kernels._bordered_adjugate(d, adj, y, d2), z2
+    # the span of S_n has dimension (n - 1)^2 + 1
+    assert len(support) == (n - 1) ** 2 + 1
 
 
-def test_push_and_pop_restore_the_elimination():
-    tables = get_tables(3)
-    elim = kernels._GramElimination()
-    support = []
-    states = []
-    for r in range(5):
-        assert elim.push([tables.agree[r][b] for b in support] + [3])
-        support.append(r)
-        states.append(_state(elim))
-    # a dependent extension leaves everything as it was
-    assert not elim.push([tables.agree[5][b] for b in support] + [3])
-    assert _state(elim) == states[-1]
-    elim.pop()
-    assert _state(elim) == states[-2]
+def test_extension_is_dependent_exactly_when_the_determinant_vanishes():
+    for n in (3, 4, 5, 6):
+        rng = random.Random(2000 + n)
+        tables = get_tables(n)
+        for _ in range(3):
+            dependent = 0
+            for grown, _, (d2, _, z2) in _descend_randomly(n, rng):
+                if dependent < 5:  # linalg's test is the slow side
+                    independent = linear_independent([tables.perms[r] for r in grown])
+                    assert bool(d2) == independent
+                    dependent += not independent
+                assert (z2 is None) == (not d2)
+            # every permutation outside a spanning support is dependent on it
+            assert dependent == min(5, len(tables.perms) - (n - 1) ** 2 - 1)
 
 
-def test_weights_check_the_back_substitution():
-    # {I, (2 3)} in S_3: G = [[3, 1], [1, 3]], so det(G) = 8 and u = (2, 2)
-    elim = kernels._GramElimination()
-    assert elim.push([3]) and elim.push([1, 3])
-    assert elim.weights() == (8, [2, 2])
-    elim.upper[0][-1] += 1  # u[0] would be (8 * 2 - 2) / 3
+def test_corrupted_adjugate_raises():
+    # {I, (2 3)} in S_3: G = [[3, 1], [1, 3]], so det(G) = 8, adj(G) =
+    # [[3, -1], [-1, 3]] and adj(G) 1 = (2, 2)
+    d, y, z = kernels._extend(3, [[1]], [1], [1], 3)
+    adj = kernels._bordered_adjugate(3, [[1]], y, d)
+    assert (d, adj, z) == (8, [[3, -1], [-1, 3]], [2, 2])
+    # bordered by b = (1, 1): y = adj b = (2, 2), d' = 3 * 8 - 4 = 20
+    assert kernels._extend(d, adj, z, [1, 1], 3) == (20, [2, 2], [4, 4, 4])
+    adj[0][0] += 1  # now y = (3, 2), d' = 19 and z'[0] = (19 * 2 - 3 * 3) / 8
     with pytest.raises(ArithmeticError, match="non-exact"):
-        elim.weights()
+        kernels._extend(d, adj, z, [1, 1], 3)
+    with pytest.raises(ArithmeticError, match="non-exact"):
+        kernels._bordered_adjugate(d, adj, [3, 2], 19)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_weights_equal_solve_integer(n):
-    # seeded random supports, grown one push at a time: every independent
-    # prefix's (det, weights) is linalg's solve of its Gram system, and a
-    # refused push is a dependent extension
+    # seeded random supports, grown one extension at a time: at every
+    # node d is the Gram determinant, adj is d times the Gram inverse, and
+    # z is linalg's integer solve of the Gram system against the ones
     rng = random.Random(1000 + n)
-    tables = get_tables(n)
-    agree = tables.agree
-    full = (n - 1) ** 2 + 1  # the dimension of the span of S_n
+    agree = get_tables(n).agree
     for _ in range(4):
-        elim = kernels._GramElimination()
-        support = []
-        for r in rng.sample(range(len(agree)), len(agree)):
-            if len(support) == full:
-                break
-            grown = support + [r]
-            if not elim.push([agree[r][b] for b in support] + [n]):
-                assert not linear_independent([tables.perms[b] for b in grown])
+        for grown, (d, adj, z), (d2, y, z2) in _descend_randomly(n, rng):
+            if not d2:
                 continue
-            support = grown
-            gram_rows = [[agree[a][b] for b in support] for a in support]
-            assert elim.weights() == solve_integer(gram_rows, [1] * len(support))
-        assert len(support) == full
+            gram_rows = [[agree[a][b] for b in grown] for a in grown]
+            assert (d2, z2) == solve_integer(gram_rows, [1] * len(grown))
+            adj2 = kernels._bordered_adjugate(d, adj, y, d2)
+            assert [[Fraction(v, d2) for v in row] for row in adj2] == [
+                list(row) for row in inverse(Matrix(gram_rows))
+            ]
