@@ -6,12 +6,14 @@ while the set stays linearly independent, tests the candidate at every
 node, and deduplicates accepted matrices by their canonical form under
 row/column permutation equivalence.  Every node is visited by the
 integer walk of ``kernels``, which carries the determinant and adjugate
-of the Gram matrix down the tree.  The walk is orderly under the maps
-``S -> t s^-1 S t^-1`` (s in S, t in S_n), which take a support onto the
-supports containing the identity among its ``P S Q`` and each candidate
-to an equivalent one: it visits only the supports that are
-lexicographically least among their images, and counts each for its
-whole orbit.
+of the Gram matrix down the tree.  ``kernels`` also builds the
+per-dimension tables the walk reads; ``get_tables`` keeps them once per
+process, and this module reads only their ``perms`` and ``n``.  The
+walk is orderly under the maps ``S -> t s^-1 S t^-1`` (s in S, t in
+S_n), which take a support onto the supports containing the identity
+among its ``P S Q`` and each candidate to an equivalent one: it visits
+only the supports that are lexicographically least among their images,
+and counts each for its whole orbit.
 
 One call of the walk covers the whole tree in one process: {I}, then
 every least pair {I, a}, then each pair's subtree, so a budgeted run has
@@ -23,7 +25,6 @@ its weights, and ``is_erdos`` on its canonical matrix.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +33,6 @@ from math import gcd
 from . import kernels
 from .assignment import is_erdos
 from .linalg import BistochasticMatrix, linear_independent
-from .perms import all_permutations
 from .rational import format_rational
 
 CANON_CAP = 6
@@ -100,115 +100,13 @@ class EnumerationReport:
         }
 
 
-class _Tables:
-    """Per-dimension lookup tables shared by the search, indexed by rank.
-
-    ``pos[g]`` lists the row-major positions of the ones of permutation
-    matrix g, one per column; ``agree[g][h]`` is the agreement count of g
-    and h, the Frobenius inner product of their matrices.  ``on_perms``
-    maps a row-major matrix to its entries on every permutation, n
-    consecutive values per rank, as one ``itemgetter`` built once here
-    rather than once per walk.
-
-    ``left[a][b]`` is the rank of ``a^-1 b``.  The walk codes a support as
-    a mask with bit ``bit[r] = 1 << (n! - 1 - r)`` for each rank r, and
-    ``conj_bits[r][k]`` is the bit of the image of r under the
-    conjugation ``p -> s p s^-1`` by the permutation s of rank k, the
-    identity's first.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.perms = tuple(all_permutations(n))
-        self.pos = tuple(
-            tuple(i * n + j for j, i in enumerate(p.images)) for p in self.perms
-        )
-        self.on_perms = operator.itemgetter(*[j for p in self.pos for j in p])
-        images = [p.images for p in self.perms]
-        self.left = _left_tables(images)
-        fix = [sum(p[i] == i for i in range(n)) for p in images]
-        # a and b agree at i exactly when i is a fixed point of a^-1 b
-        self.agree = tuple(operator.itemgetter(*row)(fix) for row in self.left)
-        nperms = len(images)
-        self.bit = tuple(1 << (nperms - 1 - r) for r in range(nperms))
-        self.conj_bits = tuple(
-            tuple(map(self.bit.__getitem__, col))
-            for col in zip(*_conjugation_tables(images))
-        )
-
-
-def _left_tables(images) -> tuple:
-    """``left[a][b]``, the rank of ``a^-1 b``, for permutations a and b in rank order.
-
-    ``left[s t][b] = T_t[left[s][b]]`` with ``T_t[r]`` the rank of
-    ``t p_r``, so the tables are composed breadth first from the n - 1
-    adjacent transpositions t, one ``itemgetter`` call each.
-    """
-    n = len(images[0])
-    rank = {p: r for r, p in enumerate(images)}
-    steps = []
-    for k in range(n - 1):
-        t = _adjacent_transposition(n, k)
-        step = tuple(rank[tuple(t[i] for i in p)] for p in images)
-        steps.append((k, lambda table, step=step: operator.itemgetter(*table)(step)))
-    return _over_group(images, steps)
-
-
-def _conjugation_tables(images) -> tuple:
-    """Rank tables of the conjugations ``p -> s p s^-1``, by rank of s.
-
-    ``images`` lists S_n in rank order.  Only the n - 1 adjacent
-    transpositions t are conjugated directly.  Conjugating by ``s t`` is
-    conjugating by t and then by s, so its table is ``T_s[T_t[r]]``, one
-    ``itemgetter`` call; the group is reached breadth first from the
-    identity.
-    """
-    n = len(images[0])
-    rank = {p: r for r, p in enumerate(images)}
-    steps = []
-    for k in range(n - 1):
-        t = _adjacent_transposition(n, k)
-        table = [rank[tuple(t[p[t[i]]] for i in range(n))] for p in images]
-        steps.append((k, operator.itemgetter(*table)))
-    return _over_group(images, steps)
-
-
-def _adjacent_transposition(n: int, k: int) -> list:
-    t = list(range(n))
-    t[k], t[k + 1] = k + 1, k
-    return t
-
-
-def _over_group(images, steps) -> tuple:
-    """One table per permutation s of ``images`` (S_n in rank order), by rank of s.
-
-    The identity's table is ``range(n!)``.  ``steps`` lists ``(k, step)``
-    for the adjacent transpositions t = (k k+1), ``step`` mapping the
-    table of s to that of ``s t``; the group is reached from the identity
-    breadth first.
-    """
-    tables = {images[0]: tuple(range(len(images)))}
-    frontier = [images[0]]
-    while frontier:
-        grown = []
-        for s in frontier:
-            for k, step in steps:
-                st = list(s)
-                st[k], st[k + 1] = st[k + 1], st[k]
-                st = tuple(st)
-                if st not in tables:
-                    tables[st] = step(tables[s])
-                    grown.append(st)
-        frontier = grown
-    return tuple(tables[s] for s in images)
-
-
 _tables_cache: dict = {}
 
 
-def get_tables(n: int) -> _Tables:
+def get_tables(n: int) -> kernels._Tables:
+    """The walk's tables for dimension n, built once per process."""
     if n not in _tables_cache:
-        _tables_cache[n] = _Tables(n)
+        _tables_cache[n] = kernels._Tables(n)
     return _tables_cache[n]
 
 
@@ -342,7 +240,7 @@ def enumerate_erdos(
     )
 
 
-def _build_classes(tables: _Tables, accepted) -> list:
+def _build_classes(tables: kernels._Tables, accepted) -> list:
     """Canonicalize the walk's accepted candidates, deduplicate, and re-check.
 
     ``accepted`` lists (support ranks, u, s, anum, weight) as

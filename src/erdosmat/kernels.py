@@ -25,6 +25,9 @@ each visited support stands for its orbit of ``n! |S| / fixers``
 supports in every source count and in every counter but the dependent
 one.
 
+The walk reads ``_Tables``, per-dimension tables indexed by permutation
+rank, which are all read off one table of the products ``a^-1 b``.
+
 All arithmetic is on Python ints, which cannot overflow.  Every division
 by d is exact in theory (the entries of ``adj G'`` and ``adj G' 1`` are
 integers); each goes through ``linalg._exact_div``, which checks it and
@@ -37,9 +40,76 @@ from __future__ import annotations
 
 import time
 from math import gcd
-from operator import mul, or_
+from operator import itemgetter, mul, or_
 
 from .linalg import _exact_div
+from .perms import all_permutations
+
+
+class _Tables:
+    """Per-dimension lookup tables of the walk, indexed by permutation rank.
+
+    ``perms`` lists S_n in rank order.  ``pos[g]`` lists the row-major
+    positions of the ones of permutation matrix g, one per column, and
+    ``on_perms`` maps a row-major matrix to its entries on every
+    permutation, n consecutive values per rank, as one ``itemgetter``
+    built once here rather than once per walk.
+
+    ``left[a][b]`` is the rank of ``a^-1 b``, the one table built from
+    the group itself; the others are read off it.  ``fix[r]`` counts the
+    fixed points of rank r, so ``fix[left[a][b]]`` is the agreement count
+    of a and b, the Frobenius inner product of their matrices: a and b
+    agree at i exactly when i is a fixed point of ``a^-1 b``.  The walk
+    codes a support as a mask with bit ``bit[r] = 1 << (n! - 1 - r)`` for
+    each rank r, and ``conj_bits[r][k]`` is the bit of the image of r
+    under the conjugation ``p -> s p s^-1`` by the permutation s of rank
+    k, the identity's first.  With ``inv[r] = left[r][0]``, the rank of
+    the inverse of rank r, the row ``L = left[inv[k]]`` maps p to ``s p``,
+    and that conjugation is ``inv . L . inv . L``, since ``p s^-1`` is the
+    inverse of ``s p^-1``: three ``itemgetter`` passes per s.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.perms = tuple(all_permutations(n))
+        images = [p.images for p in self.perms]
+        self.pos = tuple(tuple(i * n + j for j, i in enumerate(p)) for p in images)
+        self.on_perms = itemgetter(*[j for p in self.pos for j in p])
+        self.left = _left_tables(images)
+        self.fix = tuple(sum(p[i] == i for i in range(n)) for p in images)
+        nperms = len(images)
+        self.bit = tuple(1 << (nperms - 1 - r) for r in range(nperms))
+        inv = tuple(row[0] for row in self.left)
+        conj = []
+        for r in inv:
+            times = self.left[r]
+            conj.append(itemgetter(*itemgetter(*itemgetter(*times)(inv))(times))(inv))
+        self.conj_bits = tuple(tuple(map(self.bit.__getitem__, col)) for col in zip(*conj))
+
+
+def _left_tables(images) -> tuple:
+    """``left[a][b]``, the rank of ``a^-1 b``, for the permutations ``images`` in rank order.
+
+    For an adjacent transposition t, ``(s t)^-1 b = t s^-1 b``, so the
+    row of ``s t`` is the row of s mapped through the ranks of the ``t p``,
+    one ``itemgetter`` call.  The rows are reached breadth first from the
+    identity's, ``range(n!)``.
+    """
+    n = len(images[0])
+    rank = {p: r for r, p in enumerate(images)}
+    steps = []
+    for k in range(n - 1):
+        t = {k: k + 1, k + 1: k}
+        steps.append(tuple(rank[tuple(t.get(i, i) for i in p)] for p in images))
+    rows = {images[0]: tuple(range(len(images)))}
+    queue = [images[0]]
+    for s in queue:  # grows as it is read
+        for k, step in enumerate(steps):
+            st = s[:k] + (s[k + 1], s[k]) + s[k + 2:]
+            if st not in rows:
+                rows[st] = itemgetter(*rows[s])(step)
+                queue.append(st)
+    return tuple(rows[s] for s in images)
 
 
 class _Deadline(Exception):
@@ -84,13 +154,7 @@ def _bordered_adjugate(d: int, adj, y, d2: int) -> list:
 def run_shard(tables, max_support: int, deadline: float | None = None, progress=None):
     """Walk every support containing the identity; return (stats, accepted, truncated).
 
-    ``tables`` supplies, indexed by permutation rank, ``pos`` (the flat
-    positions of each permutation matrix's ones), ``agree`` (pairwise
-    agreement counts), ``left`` (``left[a][b]`` is the rank of
-    ``a^-1 b``), ``bit`` and ``conj_bits`` (a rank's bit in a support's
-    mask, and the bits of its images under the n! conjugations, the
-    identity first), and ``on_perms``, which reads a flat matrix's
-    entries on every permutation in turn.  The walk visits {I} first,
+    ``tables`` is the dimension's ``_Tables``.  The walk visits {I} first,
     then every least pair {I, g} in increasing rank order, and then each
     pair's subtree in turn: depth first, every independent extension with
     larger ranks and at most ``max_support`` elements that is least in
@@ -126,14 +190,14 @@ def run_shard(tables, max_support: int, deadline: float | None = None, progress=
     walk stops with ``truncated`` set, leaving the pending extension
     uncounted.
     """
+    n = tables.n
     pos = tables.pos
-    agree = tables.agree
     left = tables.left
+    fix = tables.fix
     bit = tables.bit
     conj_bits = tables.conj_bits
-    nperms = len(pos)
-    n = len(pos[0])
     on_perms = tables.on_perms
+    nperms = len(pos)
     fixed = conj_bits[0]  # the identity's bit, under every conjugation
 
     support = [0]
@@ -193,8 +257,8 @@ def run_shard(tables, max_support: int, deadline: float | None = None, progress=
             grown = least(g, child, images)
             if grown is None:
                 continue
-            row_g = agree[g]
-            d2, y, z2 = _extend(d, adj, z, [row_g[x] for x in support], n)
+            left_g = left[g]
+            d2, y, z2 = _extend(d, adj, z, [fix[left_g[x]] for x in support], n)
             if not d2:
                 stats[1] += 1
                 continue

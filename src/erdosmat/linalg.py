@@ -450,26 +450,6 @@ def inverse(m: Matrix) -> Matrix:
     return Matrix._from_numerators(cols[0][0], zip(*(u for _, u in cols)))
 
 
-def solve_tall(m: Matrix, rhs) -> tuple:
-    """Exact solution of a consistent full-column-rank system m x = rhs.
-
-    The matrix may have more rows than columns; raises ValueError when
-    the system is inconsistent or the columns are dependent.
-    """
-    nr, nc = m.shape
-    b = [as_rational(e) for e in rhs]
-    if len(b) != nr:
-        raise ValueError(f"right-hand side has {len(b)} entries, expected {nr}")
-    rows = _augmented(m, [[e] for e in b])
-    pivots, _ = _forward_eliminate(rows)
-    if any(c >= nc for _, c in pivots):
-        raise ValueError("system is inconsistent")
-    if len(pivots) < nc:
-        raise ValueError("matrix does not have full column rank")
-    d, u = _back_substitute(rows, nc, nc)
-    return tuple(Fraction(v, d) for v in u)
-
-
 def kernel_vector(m: Matrix):
     """One exact nonzero kernel vector of m, or None if the kernel is trivial.
 

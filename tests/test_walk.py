@@ -28,7 +28,7 @@ from erdosmat.linalg import (
     linear_independent,
     solve_integer,
 )
-from erdosmat.perms import Permutation
+from erdosmat.perms import Permutation, agreement_count
 
 
 @functools.lru_cache(maxsize=None)
@@ -229,28 +229,31 @@ def test_prefixes_of_least_supports_are_least():
         assert records[ranks[:-1] or (0,)][0], ranks
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_conjugation_tables_match_brute_force(n):
+    # every s up to n = 5; at n = 6 a seeded sample of 30, as the full
+    # brute force takes seconds there
     tables = get_tables(n)
     perms = list(tables.perms)
     rank = {p: r for r, p in enumerate(perms)}
     nperms = len(perms)
-    assert tables.conj_bits == tuple(
-        tuple(1 << (nperms - 1 - rank[s * p * s.inverse()]) for s in perms)
-        for p in perms
-    )
-    assert tables.left == tuple(
-        tuple(rank[a.inverse() * b] for b in perms) for a in perms
-    )
+    sample = range(nperms) if n < 6 else random.Random(6).sample(range(nperms), 30)
+    for k in sample:
+        s = perms[k]
+        assert [bits[k] for bits in tables.conj_bits] == [
+            1 << (nperms - 1 - rank[s * p * s.inverse()]) for p in perms
+        ]
+        assert list(tables.left[k]) == [rank[s.inverse() * b] for b in perms]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_agreement_table_matches_pairwise_count(n):
+    # the agreement count of a and b is the fixed-point count of a^-1 b
     tables = get_tables(n)
     images = [p.images for p in tables.perms]
-    assert tables.agree == tuple(
-        tuple(sum(x == y for x, y in zip(a, b)) for b in images) for a in images
-    )
+    assert [[tables.fix[r] for r in row] for row in tables.left] == [
+        [sum(x == y for x, y in zip(a, b)) for b in images] for a in images
+    ]
 
 
 def test_past_deadline_truncates():
@@ -388,10 +391,11 @@ def _descend_randomly(n, rng):
     adjugate, when d' is nonzero.  Random permutations are rarely
     dependent before they span, so most dependent tries come after.
     """
-    agree = get_tables(n).agree
+    tables = get_tables(n)
     support, d, adj, z = [], 1, [], []
-    for r in rng.sample(range(len(agree)), len(agree)):
-        d2, y, z2 = kernels._extend(d, adj, z, [agree[r][b] for b in support], n)
+    for r in rng.sample(range(len(tables.perms)), len(tables.perms)):
+        b = [tables.fix[tables.left[r][x]] for x in support]
+        d2, y, z2 = kernels._extend(d, adj, z, b, n)
         yield support + [r], (d, adj, z), (d2, y, z2)
         if d2:
             support.append(r)
@@ -437,12 +441,12 @@ def test_weights_equal_solve_integer(n):
     # node d is the Gram determinant, adj is d times the Gram inverse, and
     # z is linalg's integer solve of the Gram system against the ones
     rng = random.Random(1000 + n)
-    agree = get_tables(n).agree
+    perms = get_tables(n).perms
     for _ in range(4):
         for grown, (d, adj, z), (d2, y, z2) in _descend_randomly(n, rng):
             if not d2:
                 continue
-            gram_rows = [[agree[a][b] for b in grown] for a in grown]
+            gram_rows = [[agreement_count(perms[a], perms[b]) for b in grown] for a in grown]
             assert (d2, z2) == solve_integer(gram_rows, [1] * len(grown))
             adj2 = kernels._bordered_adjugate(d, adj, y, d2)
             assert [[Fraction(v, d2) for v in row] for row in adj2] == [
