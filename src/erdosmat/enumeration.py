@@ -203,13 +203,14 @@ def enumerate_erdos(
     least pair {I, g} whose subtree the walk has finished.
 
     Budget slack: the clock is read before every tried extension, so the
-    search stops within one try of the deadline.  A try ORs up to
-    2 |S| + 1 lists of n! image masks, so deep tries at n = 6 are the
-    longest: on a shared 2-core machine the longest try of a run with a
-    2 s budget took 1-10 ms at n = 4 (a complete run), 4-13 ms at n = 5
-    and 11-15 ms at n = 6, garbage collection included.  Building the
-    classes found (12 ms for 41 at n = 4, 10 ms for 15 at n = 6) is not
-    cut short and comes on top.
+    search stops within one try of the deadline.  A try ORs, adds and
+    ANDs up to 2 |S| + 1 packed ints of n! image masks, so deep tries at
+    n = 6 are the longest: on a shared 2-core machine the longest try of
+    a run with a 2 s budget took 1.4-4.4 ms at n = 4 (a complete run),
+    3.5-5.1 ms at n = 5 and 5.4-12 ms at n = 6, garbage collection
+    included.  Building the n = 6 tables (0.1-0.16 s) counts against
+    the budget; building the classes found (12 ms for 41 at n = 4,
+    10 ms for 15 at n = 6) is not cut short and comes on top.
     """
     if not 2 <= n <= CANON_CAP:
         raise ValueError(f"enumeration supports 2 <= n <= {CANON_CAP}, got {n}")

@@ -26,7 +26,9 @@ supports in every source count and in every counter but the dependent
 one.
 
 The walk reads ``_Tables``, per-dimension tables indexed by permutation
-rank, which are all read off one table of the products ``a^-1 b``.
+rank, which are all read off one table of the products ``a^-1 b``.  It
+compares a support with its images n! masks at a time, each mask a field
+of one packed Python int, with one add and one AND.
 
 All arithmetic is on Python ints, which cannot overflow.  Every division
 by d is exact in theory (the entries of ``adj G'`` and ``adj G' 1`` are
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import time
 from math import gcd
-from operator import itemgetter, mul, or_
+from operator import itemgetter, mul
 
 from .linalg import _exact_div
 from .perms import all_permutations
@@ -59,14 +61,23 @@ class _Tables:
     the group itself; the others are read off it.  ``fix[r]`` counts the
     fixed points of rank r, so ``fix[left[a][b]]`` is the agreement count
     of a and b, the Frobenius inner product of their matrices: a and b
-    agree at i exactly when i is a fixed point of ``a^-1 b``.  The walk
-    codes a support as a mask with bit ``bit[r] = 1 << (n! - 1 - r)`` for
-    each rank r, and ``conj_bits[r][k]`` is the bit of the image of r
-    under the conjugation ``p -> s p s^-1`` by the permutation s of rank
-    k, the identity's first.  With ``inv[r] = left[r][0]``, the rank of
-    the inverse of rank r, the row ``L = left[inv[k]]`` maps p to ``s p``,
-    and that conjugation is ``inv . L . inv . L``, since ``p s^-1`` is the
-    inverse of ``s p^-1``: three ``itemgetter`` passes per s.
+    agree at i exactly when i is a fixed point of ``a^-1 b``.
+
+    The walk codes a support as an n!-bit mask, rank r at bit
+    ``n! - 1 - r``, and keeps n! such masks side by side in one int of
+    n! fields, each ``width = 8 (n! // 8 + 1)`` bits wide, field k
+    counted from the low end: the n! mask bits leave at least one bit
+    above them, the field's carry bit.  ``ones`` has bit 0 of every
+    field set and ``carry`` every carry bit.  ``packed[r]`` holds, in
+    field k, the bit of the image of r under the conjugation
+    ``p -> s p s^-1`` by the permutation s of rank k, the identity's
+    first.  With ``inv[r] = left[r][0]``, the rank of the inverse of
+    rank r, the row ``L = left[inv[k]]`` maps p to ``s p``, and that
+    conjugation is ``inv . L . inv . L``, since ``p s^-1`` is the inverse
+    of ``s p^-1``: three ``itemgetter`` passes per s, the last of which
+    reads each image's field bytes.  Each entry is then one
+    ``int.from_bytes`` of its n! fields' bytes.  The table holds n!^3
+    bits, about 47 MB at n = 6 and 230 KB at n = 5.
     """
 
     def __init__(self, n: int):
@@ -78,13 +89,20 @@ class _Tables:
         self.left = _left_tables(images)
         self.fix = tuple(sum(p[i] == i for i in range(n)) for p in images)
         nperms = len(images)
-        self.bit = tuple(1 << (nperms - 1 - r) for r in range(nperms))
+        size = nperms // 8 + 1  # bytes per field
+        self.width = 8 * size
+        self.ones = int.from_bytes((b"\1" + bytes(size - 1)) * nperms, "little")
+        self.carry = self.ones << nperms
         inv = tuple(row[0] for row in self.left)
+        # field_inv[r]: the bytes of a field holding the bit of rank inv[r],
+        # which the last inv pass of each conjugation reads in its place
+        field = [(1 << (nperms - 1 - r)).to_bytes(size, "little") for r in range(nperms)]
+        field_inv = itemgetter(*inv)(field)
         conj = []
         for r in inv:
             times = self.left[r]
-            conj.append(itemgetter(*itemgetter(*itemgetter(*times)(inv))(times))(inv))
-        self.conj_bits = tuple(tuple(map(self.bit.__getitem__, col)) for col in zip(*conj))
+            conj.append(itemgetter(*itemgetter(*itemgetter(*times)(inv))(times))(field_inv))
+        self.packed = tuple(int.from_bytes(b"".join(col), "little") for col in zip(*conj))
 
 
 def _left_tables(images) -> tuple:
@@ -166,14 +184,18 @@ def run_shard(tables, max_support: int, deadline: float | None = None, progress=
 
     Masks put rank r at bit ``n! - 1 - r``, so of two supports of one size
     the lexicographically smaller sorted tuple has the larger mask.  The
-    walk carries one list of image masks per element s of the support,
-    the masks of ``t s^-1 S t^-1`` for every conjugation t.  Extending S
-    by g ORs the bits of the images of ``s^-1 g`` into each list, and
-    builds the list for s = g from the ``g^-1 x``, x in S and x = g; the
-    extension is least exactly when no mask exceeds its own.  Each
-    support in the orbit is the image under as many maps as fix the
-    support, the masks equal to its own, so the orbit holds
-    ``n! |S| / fixers`` supports.
+    walk carries one packed int per element s of the support, whose
+    field k is the mask of ``t s^-1 S t^-1`` for the conjugation t of
+    rank k (see ``_Tables``).  Extending S by g ORs the packed images of
+    ``s^-1 g`` into each, and builds the one for s = g from the
+    ``g^-1 x``, x in S and x = g.  The extension is least exactly when no
+    field exceeds its mask c.  The walk carries ``comp``, the complement
+    ``2^n! - 1 - c`` of the node's mask in every field, down the tree; a
+    field p then exceeds c exactly when ``p + comp`` sets the field's
+    carry bit, so one add and one AND test every field.  Each support in
+    the orbit is the image under as many maps as fix the support, the
+    fields equal to its mask, where ``p + comp + ones`` carries exactly,
+    so the orbit holds ``n! |S| / fixers`` supports.
 
     ``stats`` is (visited, dependent, negative, maxtr).  visited counts
     the supports in the orbits of the visited nodes, and negative and
@@ -194,11 +216,12 @@ def run_shard(tables, max_support: int, deadline: float | None = None, progress=
     pos = tables.pos
     left = tables.left
     fix = tables.fix
-    bit = tables.bit
-    conj_bits = tables.conj_bits
+    packed = tables.packed
+    ones = tables.ones
+    carry = tables.carry
     on_perms = tables.on_perms
     nperms = len(pos)
-    fixed = conj_bits[0]  # the identity's bit, under every conjugation
+    fixed = packed[0]  # the identity's bit, under every conjugation
 
     support = [0]
     stats = [0, 0, 0, 0]
@@ -229,32 +252,31 @@ def run_shard(tables, max_support: int, deadline: float | None = None, progress=
         else:
             stats[3] += weight
 
-    def least(g: int, child: int, images):
-        """The image-mask lists of the support extended by g, or None if
-        one of its images exceeds it."""
+    def least(g: int, comp: int, images):
+        """The packed images of the support extended by g, or None if one
+        of them exceeds it; ``comp`` is the extension's complement."""
         grown = []
-        for s, masks in zip(support, images):
-            masks = list(map(or_, masks, conj_bits[left[s][g]]))
-            if max(masks) > child:
+        for s, p in zip(support, images):
+            p |= packed[left[s][g]]
+            if (p + comp) & carry:
                 return None
-            grown.append(masks)
+            grown.append(p)
         left_g = left[g]
-        masks = fixed
+        p = fixed
         for x in support:
-            masks = map(or_, masks, conj_bits[left_g[x]])
-        masks = list(masks)
-        if max(masks) > child:
+            p |= packed[left_g[x]]
+        if (p + comp) & carry:
             return None
-        grown.append(masks)
+        grown.append(p)
         return grown
 
-    def descend(start: int, mask: int, images, d: int, adj, z, found=None) -> None:
+    def descend(start: int, comp: int, images, d: int, adj, z, found=None) -> None:
         """Visit the extensions by ranks from ``start`` on; list them in
         ``found`` if given, else walk their subtrees too."""
         for g in range(start, nperms):
             tick()
-            child = mask | bit[g]
-            grown = least(g, child, images)
+            comp2 = comp ^ (ones << (nperms - 1 - g))  # the extension's complement
+            grown = least(g, comp2, images)
             if grown is None:
                 continue
             left_g = left[g]
@@ -263,10 +285,11 @@ def run_shard(tables, max_support: int, deadline: float | None = None, progress=
                 stats[1] += 1
                 continue
             support.append(g)
-            fixers = sum(masks.count(child) for masks in grown)
+            exact = comp2 + ones
+            fixers = sum(((p + exact) & carry).bit_count() for p in grown)
             visit(nperms * len(support) // fixers, z2)
             if found is not None or len(support) < max_support:
-                node = (child, grown, d2, _bordered_adjugate(d, adj, y, d2), z2)
+                node = (comp2, grown, d2, _bordered_adjugate(d, adj, y, d2), z2)
                 if found is not None:
                     found.append((g, node))
                 else:
@@ -277,8 +300,10 @@ def run_shard(tables, max_support: int, deadline: float | None = None, progress=
         tick()
         visit(1, [1])  # every map fixes {I}
         if max_support > 1:
-            # {I}: G = [[n]], so d = n, adj G = [[1]] and z = [1]
-            descend(1, bit[0], [fixed], n, [[1]], [1], pairs)
+            # {I}: G = [[n]], so d = n, adj G = [[1]] and z = [1]; its
+            # complement is every mask bit but the identity's
+            comp = carry - ones - (ones << (nperms - 1))
+            descend(1, comp, [fixed], n, [[1]], [1], pairs)
         for done, (g, node) in enumerate(pairs, 1):
             if max_support > 2:
                 support.append(g)

@@ -659,14 +659,24 @@ def _checked_solve_integer(a, b):
 
 
 def test_integer_back_substitution_matches_gauss_jordan_oracle():
+    # every fifth draw replaces a row by a combination of the others, so
+    # singular systems come up whatever the seeded stream gives
     rng = random.Random(67)
     outcomes = {"square": 0, "singular": 0}
-    for _ in range(200):
+    for draw in range(200):
         n = rng.randint(1, 7)
         m = _random_matrix(rng, n, n, bound=rng.choice((1, 2, 9, 10**6)))
+        if draw % 5 == 0:
+            rows = [list(row) for row in m.rows]
+            dep = rng.randrange(n)
+            others = rows[:dep] + rows[dep + 1:]
+            coeffs = [rng.randint(-3, 3) for _ in others]
+            rows[dep] = [sum((c * row[j] for c, row in zip(coeffs, others)), F(0)) for j in range(n)]
+            m = Matrix(rows)
         b = [F(rng.randint(-9, 9), rng.randint(1, rng.choice((9, 10**6)))) for _ in range(n)]
         unit = [[int(i == k) for i in range(n)] for k in range(n)]
         expected = gauss_jordan_solve(m.rows, [b] + unit)
+        assert expected is None or draw % 5, draw
         if expected is None:
             outcomes["singular"] += 1
             with pytest.raises(SingularMatrixError):

@@ -196,14 +196,33 @@ def test_visited_supports_are_the_least_independent_ones(n, max_support):
             assert orbit == len(tables.pos) * len(ranks) // _stabiliser(tables, ranks)
 
 
+def _fields(tables, packed):
+    """The n! fields of a packed int, field k (from the low end) at index k."""
+    nperms, size = len(tables.perms), tables.width // 8
+    data = packed.to_bytes(nperms * size, "little")
+    return [int.from_bytes(data[k * size:(k + 1) * size], "little") for k in range(nperms)]
+
+
+def _mask(tables, ranks):
+    nperms = len(tables.perms)
+    return sum(1 << (nperms - 1 - r) for r in ranks)
+
+
+def _images(tables, ranks):
+    """Per s in the support, the packed masks of every ``t s^-1 S t^-1``."""
+    images = []
+    for s in ranks:
+        p = 0
+        for x in ranks:
+            p |= tables.packed[tables.left[s][x]]
+        images.append(p)
+    return images
+
+
 def _stabiliser(tables, ranks):
     """The pairs (t, s), s in the support, with ``t s^-1 S t^-1 = S``."""
-    mask = sum(tables.bit[r] for r in ranks)
-    images = [
-        sum(masks) for s in ranks
-        for masks in zip(*(tables.conj_bits[tables.left[s][r]] for r in ranks))
-    ]
-    return images.count(mask)
+    mask = _mask(tables, ranks)
+    return sum(_fields(tables, p).count(mask) for p in _images(tables, ranks))
 
 
 def test_full_n4_walk_accepts_least_supports_weighted_by_their_orbits():
@@ -232,18 +251,61 @@ def test_prefixes_of_least_supports_are_least():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_conjugation_tables_match_brute_force(n):
     # every s up to n = 5; at n = 6 a seeded sample of 30, as the full
-    # brute force takes seconds there
+    # brute force takes seconds there.  Field k of packed[r] holds the
+    # bit of s r s^-1 for the s of rank k, one bit and no carry bit.
     tables = get_tables(n)
     perms = list(tables.perms)
     rank = {p: r for r, p in enumerate(perms)}
     nperms = len(perms)
+    assert tables.width % 8 == 0 and tables.width > nperms
+    fields = [_fields(tables, p) for p in tables.packed]
     sample = range(nperms) if n < 6 else random.Random(6).sample(range(nperms), 30)
     for k in sample:
         s = perms[k]
-        assert [bits[k] for bits in tables.conj_bits] == [
+        assert [f[k] for f in fields] == [
             1 << (nperms - 1 - rank[s * p * s.inverse()]) for p in perms
         ]
         assert list(tables.left[k]) == [rank[s.inverse() * b] for b in perms]
+    assert all(f.bit_count() == 1 and f >> nperms == 0 for row in fields for f in row)
+    assert tables.ones == sum(1 << (tables.width * k) for k in range(nperms))
+    assert tables.carry == tables.ones << nperms
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_carry_test_and_fixers_match_the_decoded_fields(n):
+    # the walk's packed comparison of seeded supports with their images:
+    # p + comp sets a carry bit exactly when some field exceeds the mask,
+    # and, when none does, p + comp + ones sets one exactly in the fields
+    # equal to it.  Each support is also checked as the least support of
+    # its orbit, the largest mask among its images, where no field exceeds.
+    tables = get_tables(n)
+    nperms, ones, carry = len(tables.perms), tables.ones, tables.carry
+    rng = random.Random(300 + n)
+    exceeded = 0
+    for _ in range(4 if n == 6 else 12):
+        drawn = (0,) + tuple(sorted(rng.sample(range(1, nperms), rng.randint(1, n))))
+        top = max(max(_fields(tables, p)) for p in _images(tables, drawn))
+        least = tuple(nperms - 1 - i for i in reversed(range(nperms)) if top >> i & 1)
+        for ranks in (drawn, least):
+            mask = _mask(tables, ranks)
+            # the walk's complement: every mask bit but the support's, in every field
+            comp = carry - ones - (ones << (nperms - 1))
+            for r in ranks[1:]:
+                comp ^= ones << (nperms - 1 - r)
+            assert _fields(tables, comp) == [(1 << nperms) - 1 - mask] * nperms
+            fixers = 0
+            for p in _images(tables, ranks):
+                fields = _fields(tables, p)
+                assert bool((p + comp) & carry) == (max(fields) > mask)
+                if max(fields) > mask:
+                    exceeded += 1
+                else:
+                    count = ((p + comp + ones) & carry).bit_count()
+                    assert count == fields.count(mask)
+                    fixers += count
+            if ranks == least:
+                assert fixers == _stabiliser(tables, ranks) >= 1
+    assert exceeded
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
