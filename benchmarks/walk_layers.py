@@ -8,10 +8,10 @@ Usage, from the root of the repository:
 
 One round runs ``enumerate_erdos(n, max_support=cap)`` for every
 (n, cap) of ``PLAN`` and splits each run's time three ways:
-``tables`` is the time spent in ``enumeration.get_tables`` (the tables
-cache is emptied before every run, so this includes building them),
+``tables`` is the time spent in ``enumeration.get_tables`` (its cache
+is emptied before every run, so this includes building the tables),
 ``classes`` the time in ``enumeration._build_classes`` (canonical forms
-and re-verification), and ``walk`` the rest of the run: the walk
+and the integer re-checks), and ``walk`` the rest of the run: the walk
 itself, one ``kernels.run_shard`` call from {I}, which carries the
 Gram determinant and adjugate down the tree and visits one support per
 orbit under ``S -> t s^-1 S t^-1``.  Each run of the plan reports a
@@ -42,11 +42,13 @@ def prepare(seed):
     from erdosmat import enumeration
 
     get_tables, build_classes = enumeration.get_tables, enumeration._build_classes
+    # older checkouts keep the tables in a dict rather than a functools cache
+    clear = getattr(get_tables, "cache_clear", None) or enumeration._tables_cache.clear
 
     def one_round():
         out = {}
         for n, cap in PLAN:
-            enumeration._tables_cache.clear()
+            clear()
             laps = layers.Laps(LAYERS)
             enumeration.get_tables = functools.partial(laps.time, "tables", get_tables)
             enumeration._build_classes = functools.partial(laps.time, "classes", build_classes)

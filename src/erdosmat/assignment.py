@@ -103,8 +103,11 @@ def max_trace(a: Matrix, method: str = "auto") -> MaxTraceCertificate:
 
 
 def delta(a: Matrix) -> Fraction:
-    """The Marcus-Ree gap maxTr(A) - ||A||_F^2; zero exactly on Erdos matrices."""
-    return max_trace(a).value - frobenius_sq(a)
+    """The Marcus-Ree gap maxTr(A) - ||A||_F^2; zero exactly on Erdos matrices.
+
+    It reads only the certified Kuhn-Munkres value and lists no witness.
+    """
+    return max_trace(a, method="hungarian").value - frobenius_sq(a)
 
 
 def is_erdos(a: Matrix):

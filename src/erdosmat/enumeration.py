@@ -18,21 +18,22 @@ and counts each for its whole orbit.
 One call of the walk covers the whole tree in one process: {I}, then
 every least pair {I, a}, then each pair's subtree, so a budgeted run has
 the classes of the smallest supports before it descends.  Every emitted
-class is re-checked once, by paths that share no arithmetic with the
-walk: ``linalg``'s independence test on its support, the combination of
-its weights, and ``is_erdos`` on its canonical matrix.
+class is re-checked once, on integers, by paths that share no arithmetic
+with the walk: its support's independence, its weighted permutation sum,
+and the certified Kuhn-Munkres maximal trace of its canonical matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from . import kernels
-from .assignment import is_erdos
-from .linalg import BistochasticMatrix, linear_independent
+from .assignment import frobenius_sq, max_trace
+from .linalg import BistochasticMatrix, _independent, _permutation_sum
 from .rational import format_rational
 
 CANON_CAP = 6
@@ -100,14 +101,10 @@ class EnumerationReport:
         }
 
 
-_tables_cache: dict = {}
-
-
+@functools.cache
 def get_tables(n: int) -> kernels._Tables:
     """The walk's tables for dimension n, built once per process."""
-    if n not in _tables_cache:
-        _tables_cache[n] = kernels._Tables(n)
-    return _tables_cache[n]
+    return kernels._Tables(n)
 
 
 def canonical_form(a: BistochasticMatrix) -> BistochasticMatrix:
@@ -175,17 +172,6 @@ def _canonical_order(rows) -> tuple:
     return order, tuple(sorted(range(n), key=prefix.__getitem__))
 
 
-def _add_sources(groups: dict, key, count: int, rep) -> None:
-    """Add ``count`` sources under ``key``, keeping the least representative."""
-    entry = groups.get(key)
-    if entry is None:
-        groups[key] = [count, rep]
-    else:
-        entry[0] += count
-        if rep < entry[1]:
-            entry[1] = rep
-
-
 def enumerate_erdos(
     n: int,
     max_support: int | None = None,
@@ -209,8 +195,8 @@ def enumerate_erdos(
     a run with a 2 s budget took 1.4-4.4 ms at n = 4 (a complete run),
     3.5-5.1 ms at n = 5 and 5.4-12 ms at n = 6, garbage collection
     included.  Building the n = 6 tables (0.1-0.16 s) counts against
-    the budget; building the classes found (12 ms for 41 at n = 4,
-    10 ms for 15 at n = 6) is not cut short and comes on top.
+    the budget; building the classes found (9 ms for 41 at n = 4,
+    7.4 ms for 15 at n = 6) is not cut short and comes on top.
     """
     if not 2 <= n <= CANON_CAP:
         raise ValueError(f"enumeration supports 2 <= n <= {CANON_CAP}, got {n}")
@@ -247,53 +233,60 @@ def _build_classes(tables: kernels._Tables, accepted) -> list:
     ``accepted`` lists (support ranks, u, s, anum, weight) as
     ``kernels.run_shard`` returns them; each adds ``weight`` sources, the
     supports in the orbit of its own, whose candidates are all
-    equivalent.  Candidates are first filed under a raw key (s, anum): the
-    matrix anum / s reduced by the gcd of s and every numerator, so s is
-    the LCM of its denominators and equivalent matrices share it.  The
-    canonical order of the integer rows of each distinct raw matrix then
-    identifies the class without building any ``Fraction``.  A class keeps
-    its least (size, support ranks) representative, with that support's
-    u, s and raw key.
+    equivalent.  One pass files each record under a raw key (s, anum),
+    the matrix anum / s reduced by the gcd of s and every numerator (so s
+    is the LCM of its denominators), and each distinct raw key under the
+    class key that one ``_canonical_order`` of its integer rows gives,
+    with no ``Fraction``.  A class keeps its least (size, support ranks)
+    representative, with that support's u, s and raw key.
 
-    Each class is re-checked once, by paths that share no arithmetic with
-    the walk: its support is linearly independent (``linalg``), its
-    nonnegative weights u_k / s rebuild the raw matrix exactly through
-    ``BistochasticMatrix.combination``, and ``is_erdos`` holds on the
-    canonical matrix.  On an independent support a matrix's coefficients
-    are unique, and every Birkhoff term of a certified Erdos matrix is a
-    witness (Marcus-Ree equality), so the weights are the support's Gram
-    candidate and the common value is the certificate's.  A complete
-    run's representatives have no zero weight: dropping such a term
-    leaves an equivalent, shorter support that the walk also visits.
+    Each class is re-checked once, on integers, by paths that share no
+    arithmetic with the walk: its support is independent
+    (``linalg._independent``), its u are nonnegative and sum its
+    permutations to the raw matrix (``linalg._permutation_sum``), and the
+    certified Kuhn-Munkres maximal trace of its bistochastic canonical
+    matrix equals the squared norm.  On an independent support a matrix's
+    coefficients are unique, and every Birkhoff term of a certified Erdos
+    matrix is a witness (Marcus-Ree equality), so the weights u / s are
+    the support's Gram candidate and the common value is the
+    certificate's.  A complete run's representatives have no zero weight:
+    dropping such a term leaves an equivalent, shorter support that the
+    walk also visits.
     """
     n = tables.n
-    raws: dict = {}
+    keys: dict = {}
+    grouped: dict = {}
     for support_ranks, u, s, anum, weight in accepted:
         g = gcd(s, *anum)
-        key = (s // g, tuple(v // g for v in anum))
-        _add_sources(raws, key, weight, (len(support_ranks), support_ranks, u, s, key))
-    grouped: dict = {}
-    for (s, anum), (count, rep) in raws.items():
-        rp, cols = _canonical_order([anum[i * n:(i + 1) * n] for i in range(n)])
-        key = (s, tuple(anum[r * n + c] for r in rp for c in cols))
-        _add_sources(grouped, key, count, rep)
+        raw = (s // g, tuple(v // g for v in anum))
+        key = keys.get(raw)
+        if key is None:
+            rp, cols = _canonical_order([raw[1][i * n:(i + 1) * n] for i in range(n)])
+            key = keys[raw] = (raw[0], tuple(raw[1][r * n + c] for r in rp for c in cols))
+        rep = (len(support_ranks), support_ranks, u, s, raw)
+        entry = grouped.get(key)
+        if entry is None:
+            grouped[key] = [weight, rep]
+        else:
+            entry[0] += weight
+            if rep < entry[1]:
+                entry[1] = rep
 
     classes = []
     for (s, flat), (sources, (_, support_ranks, u, u_sum, raw)) in grouped.items():
         support = tuple(tables.perms[r] for r in support_ranks)
-        if not linear_independent(support):
+        images = [p.images for p in support]
+        if not _independent(images):
             raise RuntimeError("class support is linearly dependent")
-        weights = tuple(Fraction(v, u_sum) for v in u)
-        rebuilt = BistochasticMatrix.combination(zip(weights, support))
-        if min(u) < 0 or (rebuilt.scale, sum(rebuilt.numerators, ())) != raw:
+        nums = sum(_permutation_sum(u, images), [])
+        g = gcd(u_sum, *nums)
+        if min(u) < 0 or (u_sum // g, tuple(v // g for v in nums)) != raw:
             raise RuntimeError("class weights do not rebuild the walk's matrix")
-        canon = BistochasticMatrix._from_numerators(
-            s, [flat[i * n:(i + 1) * n] for i in range(n)]
-        )
-        verdict, cert = is_erdos(canon)
-        if not verdict:
+        canon = BistochasticMatrix._from_numerators(s, [flat[i * n:(i + 1) * n] for i in range(n)])
+        value = max_trace(canon, method="hungarian").value
+        if value != frobenius_sq(canon):
             raise RuntimeError("canonical matrix failed the Erdos re-check")
-        value = cert.value
+        weights = tuple(Fraction(v, u_sum) for v in u)
         classes.append(ErdosClass(canon, support, weights, value, value, sources))
     classes.sort(key=lambda c: (c.frob_sq, c.canonical.flatten()))
     return classes

@@ -6,8 +6,8 @@ from math import lcm
 
 import pytest
 
-from erdosmat import enumeration, gram, kernels
-from erdosmat.assignment import frobenius_sq, is_erdos
+from erdosmat import assignment, enumeration, gram, kernels
+from erdosmat.assignment import delta, frobenius_sq, is_erdos, max_trace
 from erdosmat.enumeration import (
     _build_classes,
     canonical_form,
@@ -269,8 +269,8 @@ def test_build_classes_rejects_corrupted_records():
 
 
 def test_enumeration_checks_each_class_once(monkeypatch):
-    # one is_erdos call per class, and no Gram pipeline or canonical_form
-    calls = {"is_erdos": 0, "pipeline": 0, "canonical_form": 0}
+    # one certified max_trace call per class, and no Gram pipeline or canonical_form
+    calls = {"max_trace": 0, "pipeline": 0, "canonical_form": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -278,14 +278,32 @@ def test_enumeration_checks_each_class_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(enumeration, "is_erdos", counted("is_erdos", is_erdos))
+    def certified(a, method="auto"):
+        assert method == "hungarian"
+        return max_trace(a, method)
+
+    monkeypatch.setattr(enumeration, "max_trace", counted("max_trace", certified))
     monkeypatch.setattr(gram, "pipeline", counted("pipeline", pipeline))
     monkeypatch.setattr(
         enumeration, "canonical_form", counted("canonical_form", canonical_form)
     )
     report = enumerate_erdos(4, max_support=6)
     assert len(report.classes) == 41
-    assert calls == {"is_erdos": 41, "pipeline": 0, "canonical_form": 0}
+    assert calls == {"max_trace": 41, "pipeline": 0, "canonical_form": 0}
+
+
+def test_value_only_paths_list_no_witnesses(monkeypatch):
+    # the class re-check, delta and the half-identity family read only the
+    # certified optimum; listing the witnesses of J_8 alone takes 8! matchings
+    def refuse(*args):
+        raise AssertionError("witnesses listed on a value-only path")
+
+    monkeypatch.setattr(assignment, "_tight_matchings", refuse)
+    assert len(enumerate_erdos(4, max_support=6).classes) == 41
+    assert delta(BistochasticMatrix.uniform(8)) == 0
+    assert len(half_identity_family(5)) == len(partitions(5))
+    with pytest.raises(AssertionError, match="value-only"):
+        is_erdos(BistochasticMatrix.uniform(3))
 
 
 def test_class_invariants_and_counters():
