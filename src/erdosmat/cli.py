@@ -3,8 +3,9 @@
 Matrices are read in the shared text format (rational literals, one row
 per line, ``#`` comments); all payload numbers are exact literals, with
 ``--approx`` adding decimal renderings alongside them, never replacing
-them.  Exit codes: 0 success / verdict true, 1 verdict false, 2 usage
-error, 3 input error, 4 budget-truncated enumeration.
+them, on the subcommands that print such numbers (see each one's help).
+Exit codes: 0 success / verdict true, 1 verdict false, 2 usage error,
+3 input error, 4 budget-truncated enumeration.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check whether a bistochastic matrix is Erdos")
     p.add_argument("file", help="matrix file, or - for stdin")
     p.add_argument("--method", choices=("auto", "brute", "hungarian"), default="auto")
-    _common_flags(p)
+    _common_flags(p, "both formats")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("enumerate", help="enumerate all Erdos classes in dimension n")
@@ -74,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1, choices=(1,),
                    help="accepted for older scripts; the walk runs in one process")
     p.add_argument("--quiet", action="store_true", help="suppress progress on stderr")
-    _common_flags(p)
+    _common_flags(p, "table format only; JSON is unchanged")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("decompose", help="Birkhoff-von Neumann decomposition")
@@ -90,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="the Erdos matrices (I + P)/2, one per cycle type")
     p.add_argument("n", type=int)
-    _common_flags(p)
+    _common_flags(p, "table format only; JSON is unchanged")
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("bound", help="binomial-sum bounds on the number of Erdos matrices")
@@ -100,21 +101,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("omega2", help="diagonal entries of 2x2 matrices with a given gap")
     p.add_argument("alpha", help="rational gap in [0, 1/4]")
-    _common_flags(p)
+    _common_flags(p, "both formats")
     p.set_defaults(func=cmd_omega2)
 
     p = sub.add_parser("maxdelta", help="the gap maximizer I/2 + J/2 and its gap (n-1)/4")
     p.add_argument("n", type=int)
-    _common_flags(p)
+    _common_flags(p, "both formats")
     p.set_defaults(func=cmd_maxdelta)
 
     return parser
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _common_flags(p: argparse.ArgumentParser, approx: str = "") -> None:
+    """Add ``--format``, and ``--approx`` where ``approx`` names the formats it changes."""
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--approx", action="store_true",
-                   help="add decimal renderings alongside exact literals")
+    if approx:
+        p.add_argument("--approx", action="store_true",
+                       help=f"add decimal renderings alongside exact literals ({approx})")
 
 
 def _read_matrix(path: str, bistochastic: bool = True):

@@ -185,7 +185,8 @@ def enumerate_erdos(
     elements appears; with the default cap (n-1)^2 + 1 that is every
     class.  ``budget`` is a positive wall-clock limit in seconds (``inf``
     sets none); truncated runs report ``complete=False`` with the partial
-    classes still verified.  ``progress(done, total)`` is called once per
+    classes still verified; ``time.perf_counter`` times both the budget
+    and ``elapsed``, so a step of the system clock cannot move either.  ``progress(done, total)`` is called once per
     least pair {I, g} whose subtree the walk has finished.
 
     Budget slack: the clock is read before every tried extension, so the
@@ -209,7 +210,7 @@ def enumerate_erdos(
         raise ValueError(f"budget must be positive, got {budget}")
 
     t0 = time.perf_counter()
-    deadline = time.time() + budget if budget is not None else None
+    deadline = t0 + budget if budget is not None else None
     tables = get_tables(n)
     stats, accepted, truncated = kernels.run_shard(tables, max_support, deadline, progress)
     classes = _build_classes(tables, accepted)

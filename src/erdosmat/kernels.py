@@ -206,11 +206,11 @@ def run_shard(tables, max_support: int, deadline: float | None = None, progress=
     ``accepted`` lists (support, u, s, anum, weight), the candidate's
     weights being u/s in lowest terms, anum the row-major entries of
     sum u_k P_k, the candidate matrix times s, and weight the size of the
-    support's orbit, ``n! |S| / fixers``.  Given a ``deadline``, the
-    clock (``time.time``) is read before every tried extension, visited
-    or not, {I} counting as the first; once the deadline has passed the
-    walk stops with ``truncated`` set, leaving the pending extension
-    uncounted.
+    support's orbit, ``n! |S| / fixers``.  Given a ``deadline`` on the
+    ``time.perf_counter`` clock, that clock is read before every tried
+    extension, visited or not, {I} counting as the first; once the
+    deadline has passed the walk stops with ``truncated`` set, leaving
+    the pending extension uncounted.
     """
     n = tables.n
     pos = tables.pos
@@ -229,7 +229,7 @@ def run_shard(tables, max_support: int, deadline: float | None = None, progress=
     pairs = []
 
     def tick() -> None:
-        if deadline is not None and time.time() >= deadline:
+        if deadline is not None and time.perf_counter() >= deadline:
             raise _Deadline
 
     def visit(weight: int, u) -> None:

@@ -7,13 +7,15 @@ Parsing, the bistochastic checks, arithmetic and every consumer in the
 package (maximal trace, norms, decomposition, canonical forms) work on
 the numerators.
 
-Rank, solve and inverse run Bareiss-style fraction-free elimination on
-integer rows (exact divisions, entries stay determinant-bounded),
-followed by an integer back substitution: the last pivot d is the
-determinant of the eliminated system, so d times the solution is an
-integer vector (Cramer), every division is checked exact, and one
-``Fraction`` is built per output coordinate.  Singularity is detected
-by a pivot search finding only zeros, never by tolerance.  The one
+Rank, determinant and kernel vectors run Bareiss-style fraction-free
+elimination (``_forward_eliminate``) on integer rows; exact divisions
+keep entries determinant-bounded.  Every square solve (``solve_integer``,
+``solve``, ``inverse``) is one ``_solve_columns`` call: one elimination
+of ``[a | columns]``, then an integer back substitution per column over
+the last pivot d, the determinant, so d times the solution is an integer
+vector (Cramer), every division is checked exact, and one ``Fraction``
+is built per output coordinate.  Singularity is detected by a pivot
+search finding only zeros, never by tolerance.  The one
 checked division, ``_exact_div``, also serves the enumeration walk's
 bordered Gram adjugate (``kernels._extend`` and
 ``kernels._bordered_adjugate``).
@@ -363,22 +365,6 @@ def det(m: Matrix) -> Fraction:
     return Fraction(value, m.scale ** n)
 
 
-def _augmented(m: Matrix, extra) -> list:
-    """Integer rows of ``[m | extra]``, each row scaled to clear its denominators.
-
-    ``extra`` gives one list of exact rationals (ints or ``Fraction``s)
-    per row of m; row i is multiplied by the least common multiple of
-    ``m.scale`` and the denominators of ``extra[i]``.
-    """
-    s = m.scale
-    out = []
-    for row, ext in zip(m.numerators, extra):
-        t = lcm(s, *(e.denominator for e in ext))
-        k = t // s
-        out.append([v * k for v in row] + [e.numerator * (t // e.denominator) for e in ext])
-    return out
-
-
 def _back_substitute(rows, n: int, rhs_col: int) -> tuple:
     """Integer back substitution on Bareiss-eliminated rows: (d, u) with solution u / d.
 
@@ -401,53 +387,60 @@ def _back_substitute(rows, n: int, rhs_col: int) -> tuple:
     return d, u
 
 
-def _eliminate_square(rows, n) -> None:
-    """Bareiss elimination of an n x n system with extra columns, in place.
+def _solve_columns(a, columns) -> tuple:
+    """(d, us): ``a x = b`` solved as x = u / d for each integer vector b in ``columns``.
 
+    ``a`` is a square list of integer rows.  One Bareiss elimination of
+    ``[a | columns]`` serves every column, each is back-substituted by
+    ``_back_substitute``, and all share the last pivot d, made positive.
     Raises ``SingularMatrixError`` unless the pivots are (i, i) for i < n.
     """
+    n = len(a)
+    rows = [list(row) + list(extra) for row, extra in zip(a, zip(*columns))]
     pivots, _ = _forward_eliminate(rows)
     if len(pivots) < n or any(c >= n for _, c in pivots):
         raise SingularMatrixError("matrix is singular")
+    solved = [_back_substitute(rows, n, n + k) for k in range(len(columns))]
+    return solved[0][0], [u for _, u in solved]
 
 
 def solve_integer(a, b) -> tuple:
     """(d, u) with u / d the solution of the square integer system a x = b, d > 0.
 
     ``a`` is a nonsingular list of integer rows and ``b`` an integer
-    vector; Bareiss elimination and the integer back substitution of
-    ``_back_substitute`` run on ``[a | b]`` with no ``Fraction``.
+    vector; ``_solve_columns`` eliminates ``[a | b]`` with no ``Fraction``.
     """
-    rows = [list(row) + [v] for row, v in zip(a, b)]
-    n = len(rows)
-    _eliminate_square(rows, n)
-    return _back_substitute(rows, n, n)
+    d, (u,) = _solve_columns(a, [b])
+    return d, u
 
 
 def solve(m: Matrix, rhs) -> tuple:
-    """Exact solution of a square nonsingular system m x = rhs."""
+    """Exact solution of a square nonsingular system m x = rhs.
+
+    For m = N / s and rhs = c / L, ``solve_integer`` solves N (L x) = s c.
+    """
     n = m.nrows
     if m.ncols != n:
         raise ValueError(f"solve requires a square matrix, got {m.shape}")
     b = [as_rational(e) for e in rhs]
     if len(b) != n:
         raise ValueError(f"right-hand side has {len(b)} entries, expected {n}")
-    rows = _augmented(m, [[e] for e in b])
-    _eliminate_square(rows, n)
-    d, u = _back_substitute(rows, n, n)
-    return tuple(Fraction(v, d) for v in u)
+    lcd, c = _common_denominator(b)
+    d, u = solve_integer(m.numerators, [m.scale * v for v in c])
+    return tuple(Fraction(v, d * lcd) for v in u)
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse; m * inverse(m) is the identity exactly."""
+    """Exact inverse; m * inverse(m) is the identity exactly.
+
+    For m = N / s, one ``_solve_columns`` call solves N X = s I.
+    """
     n = m.nrows
     if m.ncols != n:
         raise ValueError(f"inverse requires a square matrix, got {m.shape}")
-    rows = _augmented(m, _identity_rows(n))
-    _eliminate_square(rows, n)
-    cols = [_back_substitute(rows, n, n + k) for k in range(n)]
-    # every column shares the last pivot as its denominator
-    return Matrix._from_numerators(cols[0][0], zip(*(u for _, u in cols)))
+    s = m.scale
+    d, cols = _solve_columns(m.numerators, [[s * v for v in row] for row in _identity_rows(n)])
+    return Matrix._from_numerators(d, zip(*cols))
 
 
 def kernel_vector(m: Matrix):

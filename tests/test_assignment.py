@@ -130,6 +130,9 @@ def test_method_validation():
     assert max_trace(j9, method="auto").value == 1  # auto switches to hungarian
     with pytest.raises(ValueError, match="unknown method"):
         max_trace(j9, method="magic")
+    for method in ("auto", "brute", "hungarian"):
+        with pytest.raises(ValueError, match="^maximal trace requires a square matrix$"):
+            max_trace(Matrix([[1, 2, 3], [4, 5, 6]]), method=method)
 
 
 def test_delta_examples(ref):

@@ -356,6 +356,10 @@ def test_json_writer_rejects_what_json_dumps_rejects():
     assert str(ours.value) == str(theirs.value)
 
 
+# the subcommands whose output --approx changes
+APPROX_COMMANDS = ("verify", "enumerate", "family", "omega2", "maxdelta")
+
+
 def test_every_subcommand_payload_matches_json_dumps(r_file, monkeypatch, capsys):
     written = []
     writer = cli._json_text
@@ -375,12 +379,37 @@ def test_every_subcommand_payload_matches_json_dumps(r_file, monkeypatch, capsys
         ["canon", r_file], ["family", "4"], ["bound", "5"],
         ["omega2", "1/8"], ["omega2", "0"], ["maxdelta", "3"],
     ]
-    for argv in calls:
-        for approx in ([], ["--approx"]):
-            assert main(argv + ["--format", "json"] + approx) in (0, 1)
-    assert [env["command"] for env in written] == [
-        argv[0] for argv in calls for _ in range(2)]
+    runs = [
+        argv + ["--format", "json"] + approx
+        for argv in calls
+        for approx in ([], ["--approx"])
+        if not approx or argv[0] in APPROX_COMMANDS
+    ]
+    for argv in runs:
+        assert main(argv) in (0, 1)
+    assert [env["command"] for env in written] == [argv[0] for argv in runs]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "R"], ["enumerate", "-n", "3", "--quiet"], ["family", "4"],
+    ["omega2", "1/8"], ["maxdelta", "3"],
+    ["decompose", "R"], ["canon", "R"], ["bound", "5"],
+], ids=lambda argv: argv[0])
+def test_approx_only_where_it_changes_the_table(argv, r_file, capsys):
+    argv = [r_file if a == "R" else a for a in argv]
+    assert main(argv) in (0, 1)
+    plain = capsys.readouterr().out
+    if argv[0] in APPROX_COMMANDS:
+        assert main(argv + ["--approx"]) in (0, 1)
+        approx = capsys.readouterr().out
+        assert approx != plain
+        assert " ~ " in approx and " ~ " not in plain
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--approx"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --approx" in capsys.readouterr().err
 
 
 def test_cli_calls_leave_no_cyclic_garbage(r_file, capsys):

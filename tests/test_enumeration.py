@@ -22,7 +22,7 @@ from erdosmat.gram import (
     half_identity_family,
     pipeline,
 )
-from erdosmat.linalg import BistochasticMatrix
+from erdosmat.linalg import BistochasticMatrix, Matrix
 from erdosmat.perms import Permutation, partitions
 from erdosmat.sampling import random_bistochastic, random_permutation
 
@@ -123,6 +123,8 @@ def test_canonical_form_examples(ref):
 def test_canonical_form_validation():
     with pytest.raises(ValueError, match="capped"):
         canonical_form(BistochasticMatrix.uniform(7))
+    with pytest.raises(ValueError, match="^canonical form requires a square matrix$"):
+        canonical_form(Matrix([[1, 0, 0], [0, 1, 0]]))
 
 
 def test_enumerate_n2(ref):

@@ -89,6 +89,13 @@ def test_solve_errors_are_distinct():
         solve(Matrix.identity(2), [1, 2, 3])
     with pytest.raises(ValueError, match="square"):
         solve(Matrix([[1, 2, 3]]), [1])
+    wide = Matrix([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match=r"^inverse requires a square matrix, got \(2, 3\)$"):
+        inverse(wide)
+    with pytest.raises(ValueError, match="^determinant requires a square matrix$"):
+        det(wide)
+    with pytest.raises(ValueError, match="^trace requires a square matrix$"):
+        wide.trace()
 
 
 def test_inverse_s4_gram_bit_exact():

@@ -320,7 +320,7 @@ def test_agreement_table_matches_pairwise_count(n):
 
 def test_past_deadline_truncates():
     tables = get_tables(3)
-    stats, accepted, truncated = kernels.run_shard(tables, 5, deadline=time.time() - 1.0)
+    stats, accepted, truncated = kernels.run_shard(tables, 5, deadline=time.perf_counter() - 1.0)
     assert truncated
     assert stats == (0, 0, 0, 0) and accepted == []
 
@@ -378,7 +378,7 @@ def test_walk_stops_after_k_tries_when_clock_read_k_plus_1_is_late(monkeypatch):
 
         class Clock:
             @staticmethod
-            def time():
+            def perf_counter():
                 return next(readings)
 
         monkeypatch.setattr(kernels, "time", Clock)
@@ -398,7 +398,7 @@ def test_walk_stopped_after_the_pairs_has_the_support_2_classes(monkeypatch):
 
     class Clock:
         @staticmethod
-        def time():
+        def perf_counter():
             return next(readings)
 
     monkeypatch.setattr(kernels, "time", Clock)
@@ -432,7 +432,7 @@ def test_cap_2_walk_reads_the_clock_once_per_try(monkeypatch):
 
     class Clock:
         @staticmethod
-        def time():
+        def perf_counter():
             reads.append(None)
             return 0.0
 
