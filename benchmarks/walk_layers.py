@@ -7,11 +7,13 @@ Usage, from the root of the repository:
         [--pairs P] [--out FILE]
 
 One round runs ``enumerate_erdos(n, max_support=cap)`` for every
-(n, cap) of ``PLAN`` and splits each run's time three ways:
+(n, cap) of ``PLAN`` and splits each run's time four ways:
 ``tables`` is the time spent in ``enumeration.get_tables`` (its cache
 is emptied before every run, so this includes building the tables),
-``classes`` the time in ``enumeration._build_classes`` (canonical forms
-and the integer re-checks), and ``walk`` the rest of the run: the walk
+``canonical`` the time in ``enumeration._canonical_order`` (the
+canonical labelling of each distinct raw matrix), ``recheck`` the rest
+of ``enumeration._build_classes`` (grouping, the integer re-checks and
+the sort), and ``walk`` the rest of the run: the walk
 itself, one ``kernels.run_shard`` call from {I}, which carries the
 Gram determinant and adjugate down the tree and visits one support per
 orbit under ``S -> t s^-1 S t^-1``.  Each run of the plan reports a
@@ -35,13 +37,14 @@ import layers
 # (n, max_support): the catalog-n4 workload, the catalog-n5-shallow one,
 # one level deeper at n = 5, and the pairs {I, g} of n = 6
 PLAN = ((4, 6), (5, 3), (5, 4), (6, 2))
-LAYERS = ("tables", "walk", "classes")
+LAYERS = ("tables", "walk", "canonical", "recheck")
 
 
 def prepare(seed):
     from erdosmat import enumeration
 
     get_tables, build_classes = enumeration.get_tables, enumeration._build_classes
+    canonical_order = enumeration._canonical_order
     # older checkouts keep the tables in a dict rather than a functools cache
     clear = getattr(get_tables, "cache_clear", None) or enumeration._tables_cache.clear
 
@@ -51,9 +54,11 @@ def prepare(seed):
             clear()
             laps = layers.Laps(LAYERS)
             enumeration.get_tables = functools.partial(laps.time, "tables", get_tables)
-            enumeration._build_classes = functools.partial(laps.time, "classes", build_classes)
+            enumeration._build_classes = functools.partial(laps.time, "recheck", build_classes)
+            enumeration._canonical_order = functools.partial(laps.time, "canonical", canonical_order)
             payload = laps.time("walk", enumeration.enumerate_erdos, n, max_support=cap).to_json()
-            laps.seconds["walk"] -= laps.seconds["tables"] + laps.seconds["classes"]
+            laps.seconds["walk"] -= laps.seconds["tables"] + laps.seconds["recheck"]
+            laps.seconds["recheck"] -= laps.seconds["canonical"]
             kept = {k: v for k, v in payload.items()
                     if k not in ("elapsed_seconds", "rejected_dependent", "workers")}
             out[f"n{n}-cap{cap}"] = (laps.seconds, {

@@ -36,7 +36,7 @@ from math import gcd
 from .linalg import BistochasticMatrix, _common_denominator, _dependency, _distinct
 from .linalg import _image_tuples, _one_dimension, _permutation_sum
 from .perms import Permutation
-from .rational import as_rational, format_rational
+from .rational import as_rational, format_ratio, format_rational
 
 
 class ConvexDecomposition:
@@ -152,12 +152,8 @@ class ConvexDecomposition:
 
     def to_json(self) -> list:
         s = self._scale
-        out = []
-        for c, p in zip(self._coefs, self._images):
-            g = gcd(c, s)
-            coef = str(c // g) if g == s else f"{c // g}/{s // g}"
-            out.append({"coef": coef, "perm": [i + 1 for i in p]})
-        return out
+        return [{"coef": format_ratio(c, s), "perm": [i + 1 for i in p]}
+                for c, p in zip(self._coefs, self._images)]
 
 
 def decompose(a: BistochasticMatrix) -> ConvexDecomposition:

@@ -27,7 +27,7 @@ from .linalg import (
     format_matrix,
     parse_matrix,
 )
-from .rational import format_rational, parse_rational
+from .rational import format_ratio, format_rational, parse_rational
 from .surd import Surd, omega2, omega2_classes
 
 EXIT_OK = 0
@@ -130,7 +130,8 @@ def _read_matrix(path: str, bistochastic: bool = True):
 
 
 def _matrix_json(m) -> list:
-    return [[format_rational(e) for e in row] for row in m]
+    s = m.scale
+    return [[format_ratio(v, s) for v in row] for row in m.numerators]
 
 
 def _emit_json(args, command: str, n: int, payload: dict) -> None:

@@ -29,12 +29,12 @@ import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import kernels
 from .assignment import frobenius_sq, max_trace
 from .linalg import BistochasticMatrix, _independent, _permutation_sum
-from .rational import format_rational
+from .rational import format_ratio, format_rational
 
 CANON_CAP = 6
 # the one search algorithm, named in every report
@@ -53,8 +53,9 @@ class ErdosClass:
     sources: int
 
     def to_json(self) -> dict:
+        s = self.canonical.scale
         return {
-            "matrix": [[format_rational(e) for e in row] for row in self.canonical],
+            "matrix": [[format_ratio(v, s) for v in row] for row in self.canonical.numerators],
             "support": [list(p.one_indexed()) for p in self.support],
             "weights": [format_rational(w) for w in self.weights],
             "value": format_rational(self.common_value),
@@ -112,7 +113,9 @@ def canonical_form(a: BistochasticMatrix) -> BistochasticMatrix:
 
     Two matrices are equivalent exactly when their canonical forms are
     equal.  The least order of the integer numerators over the matrix's
-    scale is found by ``_canonical_order``.
+    scale is found by ``_canonical_order``, which tries one row per twin
+    class at each node (rows that a row swap with some column
+    permutation exchanges lead to the same matrices).
 
     Why a row-by-row search is exact: for a fixed row order the least
     column order sorts the columns as vectors, and sorting columns by
@@ -140,11 +143,20 @@ def _canonical_order(rows) -> tuple:
     labelling, McKay 1981).  Each column's prefix is carried as a base-b
     integer, b = 1 + the largest entry, so integer order is prefix order;
     among survivors, which share all earlier rows, the sorted prefixes
-    compare exactly as the new row does.  Identical unused rows are tried
-    once per node, since either choice leads to the same matrices.
+    compare exactly as the new row does.
+
+    Each node tries one unused row per twin class (``_twins``).  Why that
+    is exact: if swapping rows r and r' maps the grid onto itself under
+    some column permutation, that pair of permutations is an automorphism
+    fixing every other row.  At a node where both are unused it fixes the
+    rows already placed, so it maps the orders below "place r" one to one
+    onto those below "place r'" and gives each the same column-sorted
+    matrix: the two subtrees survive alike and reach the same
+    flattenings.  Identical rows are the case where no column moves.
     """
     n = len(rows)
     rows = [tuple(r) for r in rows]
+    twin = _twins(rows)
     b = 1 + max(max(r) for r in rows)
     level = [((), tuple(range(n)), (0,) * n)]
     for _ in range(n):
@@ -152,24 +164,53 @@ def _canonical_order(rows) -> tuple:
         survivors = []
         for order, unused, prefix in level:
             tried = set()
-            for r in unused:
-                row = rows[r]
-                if row in tried:
+            for i, r in enumerate(unused):
+                t = twin[r]
+                if t in tried:
                     continue
-                tried.add(row)
-                grown = [p * b + e for p, e in zip(prefix, row)]
+                tried.add(t)
+                grown = [p * b + e for p, e in zip(prefix, rows[r])]
                 key = sorted(grown)
                 if best is None or key < best:
                     best = key
                     survivors = []
                 elif key != best:
                     continue
-                survivors.append(
-                    (order + (r,), tuple(u for u in unused if u != r), grown)
-                )
+                survivors.append((order + (r,), unused[:i] + unused[i + 1:], grown))
         level = survivors
     order, _, prefix = level[0]
     return order, tuple(sorted(range(n), key=prefix.__getitem__))
+
+
+def _twins(rows) -> list:
+    """Each row's twin class, named by its least row.
+
+    Rows h and r are twins when swapping them leaves the multiset of
+    columns unchanged; only the columns where the two rows differ move,
+    so only those are compared.  The swap is then an automorphism with
+    the column permutation that matches the moved columns, and swaps
+    that are automorphisms compose ((h r) = (h r')(r' r)(h r')), so
+    twins are an equivalence and each row is tested only against the
+    least row of each class found so far.
+    """
+    n = len(rows)
+    cols = list(zip(*rows))
+    shapes = [sorted(row) for row in rows]
+    twin = list(range(n))
+    heads = []
+    for r, row in enumerate(rows):
+        for h in heads:
+            if shapes[h] != shapes[r]:
+                continue
+            moved = [c for c, x, y in zip(cols, rows[h], row) if x != y]
+            swap = list(range(n))
+            swap[h], swap[r] = r, h
+            if sorted(moved) == sorted([tuple([c[i] for i in swap]) for c in moved]):
+                twin[r] = h
+                break
+        else:
+            heads.append(r)
+    return twin
 
 
 def enumerate_erdos(
@@ -196,8 +237,8 @@ def enumerate_erdos(
     a run with a 2 s budget took 1.4-4.4 ms at n = 4 (a complete run),
     3.5-5.1 ms at n = 5 and 5.4-12 ms at n = 6, garbage collection
     included.  Building the n = 6 tables (0.1-0.16 s) counts against
-    the budget; building the classes found (9 ms for 41 at n = 4,
-    7.4 ms for 15 at n = 6) is not cut short and comes on top.
+    the budget; building the classes found (8.4 ms for 41 at n = 4,
+    2.1 ms for 15 at n = 6) is not cut short and comes on top.
     """
     if not 2 <= n <= CANON_CAP:
         raise ValueError(f"enumeration supports 2 <= n <= {CANON_CAP}, got {n}")
@@ -239,7 +280,10 @@ def _build_classes(tables: kernels._Tables, accepted) -> list:
     is the LCM of its denominators), and each distinct raw key under the
     class key that one ``_canonical_order`` of its integer rows gives,
     with no ``Fraction``.  A class keeps its least (size, support ranks)
-    representative, with that support's u, s and raw key.
+    representative, with that support's u, s and raw key.  The classes
+    sort by squared norm, then by the canonical numerators written over
+    the least common multiple of every class's scale: the order of the
+    canonical ``flatten()``, with no ``Fraction`` row built.
 
     Each class is re-checked once, on integers, by paths that share no
     arithmetic with the walk: its support is independent
@@ -273,7 +317,8 @@ def _build_classes(tables: kernels._Tables, accepted) -> list:
             if rep < entry[1]:
                 entry[1] = rep
 
-    classes = []
+    top = lcm(*(s for s, _ in grouped))
+    ranked = []
     for (s, flat), (sources, (_, support_ranks, u, u_sum, raw)) in grouped.items():
         support = tuple(tables.perms[r] for r in support_ranks)
         images = [p.images for p in support]
@@ -288,6 +333,7 @@ def _build_classes(tables: kernels._Tables, accepted) -> list:
         if value != frobenius_sq(canon):
             raise RuntimeError("canonical matrix failed the Erdos re-check")
         weights = tuple(Fraction(v, u_sum) for v in u)
-        classes.append(ErdosClass(canon, support, weights, value, value, sources))
-    classes.sort(key=lambda c: (c.frob_sq, c.canonical.flatten()))
-    return classes
+        key = (value, tuple(v * (top // s) for v in flat))
+        ranked.append((key, ErdosClass(canon, support, weights, value, value, sources)))
+    ranked.sort(key=lambda kc: kc[0])
+    return [c for _, c in ranked]

@@ -12,9 +12,10 @@ This module owns the text grammar shared by matrix files, JSON payloads
 and the CLI: ``p`` or ``p/q`` in ASCII digits, with an optional leading
 minus and a nonzero denominator (``3/6`` parses to ``1/2``, ``-0/5`` to
 ``0``).  ``parse_ratio`` reads a literal as a reduced integer pair and
-``parse_rational`` as a ``Fraction``; the matrix parser matches whole
-lines of literals against the same ``_RATIONAL_RE`` and calls
-``parse_ratio`` only to word an error.
+``parse_rational`` as a ``Fraction``; ``format_ratio`` writes an integer
+pair back in lowest terms, so a matrix prints from its numerators and
+scale.  The matrix parser matches whole lines of literals against the
+same ``_RATIONAL_RE`` and calls ``parse_ratio`` only to word an error.
 """
 
 from __future__ import annotations
@@ -53,9 +54,15 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction | int) -> str:
     """Render a rational as ``p`` or ``p/q``, never as a decimal."""
     q = as_rational(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return format_ratio(q.numerator, q.denominator)
+
+
+def format_ratio(p: int, q: int) -> str:
+    """Render the integer ratio p / q, for q > 0, as ``p`` or ``p/q`` in lowest terms."""
+    g = gcd(p, q)
+    if g == q:
+        return str(p // g)
+    return f"{p // g}/{q // g}"
 
 
 def as_rational(value) -> Fraction:

@@ -10,6 +10,7 @@ from erdosmat.cli import main
 from erdosmat.enumeration import canonical_form
 from erdosmat.linalg import BistochasticMatrix, format_matrix, parse_matrix
 from erdosmat.perms import Permutation
+from erdosmat.rational import format_rational
 
 F = Fraction
 
@@ -274,6 +275,29 @@ def test_maxdelta(capsys):
     env = _json_out(capsys)
     assert env["payload"]["matrix"] == [["3/4", "1/4"], ["1/4", "3/4"]]
     assert env["payload"]["delta"] == "1/4"
+
+
+def test_matrix_payloads_print_each_entry_in_lowest_terms(r_file, capsys):
+    # canon, family and maxdelta write matrices from numerators and scale,
+    # decompose its coefficients from theirs: each entry as format_rational prints it
+    from erdosmat.assignment import max_delta_matrix
+    from erdosmat.gram import half_identity_family
+
+    def entries(m):
+        return [[format_rational(e) for e in row] for row in m]
+
+    a = parse_matrix(R_TEXT, bistochastic=True)
+    assert main(["canon", r_file, "--format", "json"]) == 0
+    assert _json_out(capsys)["payload"]["matrix"] == entries(canonical_form(a))
+    assert main(["family", "4", "--format", "json"]) == 0
+    assert [m["matrix"] for m in _json_out(capsys)["payload"]["matrices"]] == [
+        entries(m) for m in half_identity_family(4)]
+    for n in (3, 4, 5):
+        assert main(["maxdelta", str(n), "--format", "json"]) == 0
+        assert _json_out(capsys)["payload"]["matrix"] == entries(max_delta_matrix(n))
+    assert main(["decompose", r_file, "--format", "json"]) == 0
+    assert [t["coef"] for t in _json_out(capsys)["payload"]["terms"]] == [
+        format_rational(c) for c in decompose(a).weights]
 
 
 def test_printed_matrices_reparse_identically(capsys):

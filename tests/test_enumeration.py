@@ -24,6 +24,7 @@ from erdosmat.gram import (
 )
 from erdosmat.linalg import BistochasticMatrix, Matrix
 from erdosmat.perms import Permutation, partitions
+from erdosmat.rational import format_rational
 from erdosmat.sampling import random_bistochastic, random_permutation
 
 from conftest import brute_canonical_flatten, direct_sum, rowscan_canonical_flatten
@@ -118,6 +119,140 @@ def test_canonical_form_examples(ref):
     )
     assert canonical_form(a) == canonical_form(ref["IJ2"])
     assert canonical_form(ref["J3"]) == ref["J3"]
+
+
+def _off_diagonal(k):
+    """(J - I)/(k - 1): every pair of rows is a twin pair."""
+    return BistochasticMatrix(
+        [[F(int(i != j), k - 1) for j in range(k)] for i in range(k)]
+    )
+
+
+def _circulant_half(n):
+    """(I + C)/2 for the n-cycle C, whose pattern is a 2n-cycle.
+
+    For n >= 5 it has no twin rows: a reflection of the 2n-cycle fixing
+    all rows but two needs n = 3 or 4.
+    """
+    c = Permutation.from_cycles(n, tuple(range(1, n + 1))).matrix()
+    return BistochasticMatrix(
+        [[(F(int(i == j)) + c[i][j]) / 2 for j in range(n)] for i in range(n)]
+    )
+
+
+def _padded_pattern(n, k, rng):
+    """k random 0/1 rows of length n, none zero, under n - k zero rows."""
+    rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(k)]
+    for row in rows:
+        row[rng.randrange(n)] = 1
+    return rows + [[0] * n for _ in range(n - k)]
+
+
+def _scrambled_grid(rows, rng):
+    rp = rng.sample(range(len(rows)), len(rows))
+    cp = rng.sample(range(len(rows)), len(rows))
+    return [[rows[r][c] for c in cp] for r in rp]
+
+
+def _twin_kinds(n, rng):
+    """Bistochastic matrices of size n where twin rows fire, and circulant halves, where none do."""
+    one = BistochasticMatrix.identity(1)
+    mats = [
+        BistochasticMatrix.identity(n),
+        BistochasticMatrix(random_permutation(n, rng).matrix().rows),
+        _off_diagonal(n),
+        _circulant_half(n),
+    ]
+    if n >= 4:
+        mats.append(direct_sum(_off_diagonal(n - 1), one))
+    if n >= 5:
+        # identical rows (the J_2 block) beside twin rows
+        mats += [
+            direct_sum(_off_diagonal(n - 2), BistochasticMatrix.identity(2)),
+            direct_sum(BistochasticMatrix.uniform(2), _off_diagonal(n - 2)),
+            direct_sum(BistochasticMatrix.uniform(2), BistochasticMatrix.identity(n - 2)),
+        ]
+    return mats
+
+
+def test_twin_rule_matches_brute_oracle():
+    rng = random.Random(127)
+    for n in (3, 4, 5):
+        for a in _twin_kinds(n, rng):
+            for b in (a, _scrambled(a, rng)):
+                assert canonical_form(b).flatten() == brute_canonical_flatten(a)
+        assert enumeration._twins(_off_diagonal(n).numerators) == [0] * n
+    assert enumeration._twins(_circulant_half(4).numerators) == [0, 1, 0, 1]
+    for n in (5, 6):
+        assert enumeration._twins(_circulant_half(n).numerators) == list(range(n))
+    # zero-padded 0/1 patterns and identical beside twin 0/1 rows, as integer grids
+    grids = [_padded_pattern(n, k, rng) for n in (3, 4, 5) for k in range(1, n) for _ in range(2)]
+    grids.append([[1, 1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0] * 5])
+    for rows in grids:
+        for grid in (rows, _scrambled_grid(rows, rng)):
+            rp, cols = enumeration._canonical_order(grid)
+            flat = tuple(grid[r][c] for r in rp for c in cols)
+            assert flat == brute_canonical_flatten(Matrix(rows))
+
+
+def test_twin_rule_matches_rowscan_oracle_n6():
+    rng = random.Random(137)
+    mats = _twin_kinds(6, rng) + [
+        direct_sum(BistochasticMatrix.uniform(2), BistochasticMatrix.uniform(2),
+                   BistochasticMatrix.identity(2)),
+        _kron_uniform(_off_diagonal(3), 2),
+    ]
+    for a in mats:
+        for b in (a, _scrambled(a, rng)):
+            assert canonical_form(b).flatten() == rowscan_canonical_flatten(a)
+    for k in range(1, 6):
+        for _ in range(3):
+            rows = _padded_pattern(6, k, rng)
+            for grid in (rows, _scrambled_grid(rows, rng)):
+                rp, cols = enumeration._canonical_order(grid)
+                flat = tuple(grid[r][c] for r in rp for c in cols)
+                assert flat == rowscan_canonical_flatten(Matrix(rows))
+
+
+def _swap_fixes(rows, h, r):
+    """Whether swapping rows h and r, then some column permutation, gives the grid back."""
+    swapped = list(rows)
+    swapped[h], swapped[r] = rows[r], rows[h]
+    n = len(rows)
+    return any(
+        all(swapped[i][cp[j]] == rows[i][j] for i in range(n) for j in range(n))
+        for cp in itertools.permutations(range(n))
+    )
+
+
+def test_twins_are_the_row_swaps_that_fix_the_grid():
+    rng = random.Random(131)
+    fired = refused = 0
+    for n in (2, 3, 4):
+        for _ in range(150):
+            rows = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(n)) for _ in range(n)]
+            twin = enumeration._twins(rows)
+            for r in range(n):
+                related = {h for h in range(n) if h == r or _swap_fixes(rows, h, r)}
+                # each merged pair is such a swap, each class holds every such row,
+                # and a class is named by its least row
+                assert {h for h in range(n) if twin[h] == twin[r]} == related
+                assert twin[r] == min(related)
+                for h in range(r):
+                    if rows[h] != rows[r] and sorted(rows[h]) == sorted(rows[r]):
+                        fired += h in related
+                        refused += h not in related
+    # distinct twin rows, and rows with the same entries that are not twins
+    assert fired >= 20 and refused >= 80
+
+
+@pytest.mark.parametrize("n, cap", [(4, None), (5, 3)])
+def test_classes_sort_and_print_on_integers(n, cap):
+    classes = enumerate_erdos(n, max_support=cap).classes
+    keys = [(c.frob_sq, c.canonical.flatten()) for c in classes]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    for c in classes:
+        assert c.to_json()["matrix"] == [[format_rational(e) for e in row] for row in c.canonical]
 
 
 def test_canonical_form_validation():

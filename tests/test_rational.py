@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from erdosmat.rational import as_rational, format_rational, parse_ratio, parse_rational
+from erdosmat.rational import (
+    as_rational, format_ratio, format_rational, parse_ratio, parse_rational,
+)
 
 
 def test_parse_reduces():
@@ -63,6 +65,11 @@ def test_format():
     assert format_rational(Fraction(-3, 4)) == "-3/4"
     assert format_rational(Fraction(5)) == "5"
     assert format_rational(0) == "0"
+    # integer pairs print in lowest terms, as their Fraction does
+    for p in range(-12, 13):
+        for q in range(1, 13):
+            assert format_ratio(p, q) == format_rational(Fraction(p, q))
+    assert format_ratio(6 * 10**20, 4 * 10**20) == "3/2"
 
 
 def test_round_trip():
