@@ -1,21 +1,23 @@
 """Birkhoff-von Neumann decomposition and support reduction.
 
 ``decompose`` writes a bistochastic matrix as an exact convex
-combination of permutation matrices with the classical greedy loop:
-find a permutation inside the positive support, subtract the minimal
-entry along it, repeat.  The loop runs on the matrix's integer
-numerators over the least common multiple of its denominators.  Its
-permutation is a perfect matching of the support, built once by
-augmenting paths and then carried from round to round: a round deletes
-the cells it zeroed and re-matches the columns that lost their row.
-Any perfect matching will do.  Each round still zeroes a cell, which
-bounds the number of terms, and when A is Erdos every permutation of
-any Birkhoff decomposition attains the maximal trace (Marcus-Ree
-equality), so the terms are witnesses whichever matching is taken.  The
-result is a ``ConvexDecomposition`` held the same way, as integer
-coefficients over that scale and image tuples, from which ``to_json``
-and ``matrix`` read directly; its ``(Fraction, Permutation)`` terms are
-built only when read.
+combination of permutation matrices with the bottleneck greedy loop:
+take the perfect matching of the positive support whose least entry is
+largest, subtract that entry along it, repeat (the greedy variant that
+Dufosse and Ucar, Linear Algebra Appl. 497 (2016), study for short
+decompositions).  The loop runs on the matrix's integer numerators over
+the least common multiple of its denominators.  The residual only
+falls, so the bottleneck value t only falls from round to round: one
+matching, built by augmenting paths, is carried across rounds together
+with the cells of value at least t, and the cells below t wait in a
+heap until a failed search asks for them.  Each round still zeroes a
+cell, which bounds the number of terms, and when A is Erdos every
+permutation of any Birkhoff decomposition attains the maximal trace
+(Marcus-Ree equality), so the terms are witnesses.  The result is a
+``ConvexDecomposition`` held the same way, as integer coefficients over
+that scale and image tuples, from which ``to_json`` and ``matrix`` read
+directly; its ``(Fraction, Permutation)`` terms are built only when
+read.
 ``reduce_linear`` shrinks a decomposition to a linearly independent
 support by Caratheodory-style exchange steps on the integer
 coefficients, one elimination per round.  ``reduce_affine`` is the same
@@ -25,12 +27,13 @@ annihilating coefficient vector to sum to zero.
 Greedy output is always independent: each round zeroes an entry that no
 later round uses, so every term is alone on the entry it zeroed, and
 ``linalg`` proves that by peeling alone, in input order, with no
-elimination.
+elimination.  Which matching a round takes does not matter for that.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .linalg import BistochasticMatrix, _common_denominator, _dependency, _distinct
@@ -157,26 +160,37 @@ class ConvexDecomposition:
 
 
 def decompose(a: BistochasticMatrix) -> ConvexDecomposition:
-    """Greedy Birkhoff decomposition of a bistochastic matrix.
+    """Bottleneck greedy Birkhoff decomposition of a bistochastic matrix.
 
-    Deterministic: each round takes the matching that augmenting paths
-    first found, repaired after the last round, so the output is
-    reproducible.  A permutation matrix decomposes as itself; every round
-    zeroes at least one entry, so there are at most (n-1)^2 + 1 terms.
+    Each round takes a bottleneck perfect matching of the residual's
+    positive support, one whose least entry t is largest, and subtracts
+    t along it.  Deterministic: cells of equal value are admitted
+    together and free columns are matched in ascending order, so J_n
+    starts with the identity.  A permutation matrix decomposes as
+    itself; every round zeroes at least one entry, which no later round
+    uses, so there are at most (n-1)^2 + 1 terms and they peel in order.
 
     The work is in integers: the residual starts as A's numerators over
     its scale, the least common multiple of its denominators, and stays
     an integer matrix; each round's coefficient is an integer over that
     scale and its permutation an image tuple, which is how the returned
     ``ConvexDecomposition`` stores them.
-    One ``_Matching`` of the positive support serves every round: a round
-    deletes the cells it zeroed and re-matches each freed column with one
-    augmenting search.
+    One ``_Matching`` serves every round.  It holds the cells of residual
+    at least t; the other positive cells wait in its ``pending`` heap.
+    The residual only falls, so the bottleneck of the next round is at
+    most t.  A round deletes the matched cells that fell below t (those
+    still positive go back on the heap) and re-matches their columns; a
+    search that fails admits the next group of equal-valued cells and
+    lowers t to their value.  When every column is matched again, the
+    matching's least entry is at least t and the bottleneck at most t:
+    the round's coefficient is exactly t.
     """
     n = a.n
     scale = a.scale
     residual = [list(row) for row in a.numerators]
-    matching = _Matching([[e > 0 for e in row] for row in residual])
+    matching = _Matching([[False] * n] * n, (
+        (-e, i, j) for i, row in enumerate(residual) for j, e in enumerate(row) if e > 0))
+    pending = matching.pending
     remaining = scale
     coefs = []
     perms = []
@@ -184,17 +198,20 @@ def decompose(a: BistochasticMatrix) -> ConvexDecomposition:
         images = matching.images
         if images is None:
             raise RuntimeError("no perfect matching in the positive support")
-        coef = min(residual[images[j]][j] for j in range(n))
-        zeroed = []
+        t = matching.threshold
+        below = []
         for j, i in enumerate(images):
             row = residual[i]
-            row[j] -= coef
-            if row[j] == 0:
-                zeroed.append((i, j))
-        remaining -= coef
-        coefs.append(coef)
+            e = row[j] - t
+            row[j] = e
+            if e < t:
+                below.append((i, j))
+                if e:
+                    heappush(pending, (-e, i, j))
+        remaining -= t
+        coefs.append(t)
         perms.append(tuple(images))
-        matching.delete(zeroed)
+        matching.delete(below)
     if any(e != 0 for row in residual for e in row):
         raise RuntimeError("decomposition left a nonzero residual")
     return ConvexDecomposition._from_integers(scale, coefs, perms)
@@ -249,58 +266,116 @@ def reduce_affine(d: ConvexDecomposition) -> ConvexDecomposition:
 
 
 class _Matching:
-    """A perfect matching of a 0/1 grid, kept under deletions by augmenting paths.
+    """A perfect matching of a 0/1 grid, kept under deletions and admissions by augmenting paths.
 
     ``cols[j]`` has bit i set when row i may serve column j.  ``images[j]``
-    is the row of column j and ``col_of[i]`` the column of row i;
-    ``images`` is None once the grid has no perfect matching.
+    is the row of column j, ``col_of[i]`` the column of row i, and
+    ``free_rows`` has bit i set while row i is unmatched; ``images`` is
+    None once no perfect matching is left.
 
-    Built from empty with one augmenting search per column, in column
+    ``pending`` is a heap of cells ``(-value, i, j)`` not yet admitted;
+    its owner may push onto it between calls.  ``threshold`` is the value
+    of the group last admitted from it (None before any), so for
+    ``decompose`` the admitted cells are those of residual at least
+    ``threshold``.
+
+    Built from the grid with one augmenting search per column, in column
     order (Kuhn).  ``delete`` unmatches the columns whose cells it
-    removes and re-matches each with one search through every column.
-    A search that fails proves that no perfect matching is left: every
-    row it reached is matched to another column it reached, so the
-    columns it reached may use one row fewer than there are of them
-    (Hall).
+    removes and re-matches each, in ascending order, with one search
+    through every column.  A search that fails proves that the admitted
+    cells hold no perfect matching: every row it reached is matched to
+    another column it reached, so the columns it reached may use one row
+    fewer than there are of them (Hall).  It then admits the pending
+    cells of the largest value, a group at a time, and searches again
+    once a group holds a cell (i, j) with column j reached and row i not;
+    any other cell leaves the failed search as it was.  With nothing
+    pending, ``images`` becomes None.
     """
 
-    __slots__ = ("cols", "images", "col_of")
+    __slots__ = ("cols", "images", "col_of", "free_rows", "pending", "threshold")
 
-    def __init__(self, allowed):
+    def __init__(self, allowed, pending=()):
         n = len(allowed)
         self.cols = [sum(1 << i for i in range(n) if allowed[i][j]) for j in range(n)]
         self.images = [None] * n
         self.col_of = [None] * n
-        for j in range(n):
-            if not self._augment(j):
-                self.images = None
-                return
+        self.free_rows = (1 << n) - 1
+        self.pending = list(pending)
+        heapify(self.pending)
+        self.threshold = None
+        self._match(range(n))
 
     def delete(self, cells) -> None:
         """Disallow each cell (i, j) of ``cells`` and re-match the columns that lost their row."""
         cols, images, col_of = self.cols, self.images, self.col_of
+        freed = []
         for i, j in cells:
             cols[j] &= ~(1 << i)
-        if images is None:
-            return
-        freed = sorted({j for i, j in cells if images[j] == i})
-        for j in freed:
-            col_of[images[j]] = None
-            images[j] = None
-        for j in freed:
-            if not self._augment(j):
-                self.images = None
-                return
+            if images is not None and images[j] == i:
+                images[j] = col_of[i] = None
+                self.free_rows |= 1 << i
+                freed.append(j)
+        if images is not None:
+            freed.sort()
+            self._match(freed)
 
-    def _augment(self, c0: int) -> bool:
+    def admit(self, cells) -> None:
+        """Allow each cell (i, j) of ``cells``."""
+        cols = self.cols
+        for i, j in cells:
+            cols[j] |= 1 << i
+
+    def _match(self, free) -> None:
+        """Match each free column in turn, admitting pending cells while a search fails."""
+        for c in free:
+            reach = self._augment(c)
+            while reach is not None:
+                if not self._admit_next(*reach):
+                    self.images = None
+                    return
+                reach = self._augment(c)
+
+    def _admit_next(self, reached_cols: int, reached_rows: int) -> bool:
+        """Admit pending groups of equal value until one joins a reached column to an unreached row.
+
+        The masks are what a failed search reached.  False when the
+        heap runs out first.
+        """
+        pending = self.pending
+        while pending:
+            key = pending[0][0]
+            group = []
+            joins = False
+            while pending and pending[0][0] == key:
+                _, i, j = heappop(pending)
+                group.append((i, j))
+                if reached_cols >> j & 1 and not reached_rows >> i & 1:
+                    joins = True
+            self.threshold = -key
+            self.admit(group)
+            if joins:
+                return True
+        return False
+
+    def _augment(self, c0: int):
         """Match the free column c0 along an augmenting path.
 
         A breadth-first search over alternating paths from c0; when one
         reaches a free row, every column on it moves to the row it
-        reached, and c0 is matched.  False, with nothing changed, when no
-        such path exists.
+        reached, c0 is matched and the result is None.  When no such path
+        exists nothing changes, and the result is the bitmasks of the
+        columns and the rows the search reached.
         """
         cols, images, col_of = self.cols, self.images, self.col_of
+        hit = cols[c0] & self.free_rows
+        if hit:
+            # the breadth-first search would stop at this row too
+            low = hit & -hit
+            self.free_rows ^= low
+            i = low.bit_length() - 1
+            images[c0] = i
+            col_of[i] = c0
+            return None
         seen = 0
         via = {}  # matched row -> the column that reached it
         queue = [c0]
@@ -313,12 +388,16 @@ class _Matching:
                 i = low.bit_length() - 1
                 d = col_of[i]
                 if d is None:
+                    self.free_rows ^= low
                     while True:
                         images[c], i = i, images[c]
                         col_of[images[c]] = c
                         if c == c0:
-                            return True
+                            return None
                         c = via[i]
                 via[i] = c
                 queue.append(d)
-        return False
+        reached = 0
+        for c in queue:
+            reached |= 1 << c
+        return reached, seen

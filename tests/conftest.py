@@ -2,9 +2,10 @@
 
 The oracles here (plain Gaussian and Gauss-Jordan elimination,
 brute-force and row-scan canonical minimization, the unpeeled
-independence test, a from-scratch matchability test, and a replay of
-greedy decompositions over Fractions) are deliberately separate
-implementations from the library paths they check.
+independence test, a from-scratch matchability test, and replays of
+greedy and bottleneck greedy decompositions over Fractions) are
+deliberately separate implementations from the library paths they
+check.
 """
 
 from fractions import Fraction
@@ -211,6 +212,52 @@ def oracle_greedy_replay(a, terms) -> None:
         along = [residual[i][j] for j, i in enumerate(p.images)]
         assert min(along) > 0, "term leaves the positive support"
         assert coef == min(along), "coefficient is not the least entry along the term"
+        for j, i in enumerate(p.images):
+            residual[i][j] -= coef
+    assert all(e == 0 for row in residual for e in row), "nonzero residual"
+
+
+def oracle_bottleneck(residual):
+    """``max_sigma min_j residual[sigma(j)][j]`` of a nonzero scaled bistochastic residual (oracle).
+
+    Up to n = 12, the largest positive value v whose cells ``>= v`` hold
+    a perfect matching, by binary search over the distinct values with
+    ``oracle_matchable``; for n <= 7 also by brute force over all n!
+    permutations, which must agree.
+    """
+    n = len(residual)
+    assert n <= 12
+    values = sorted({e for row in residual for e in row if e > 0})
+
+    def holds(v):
+        return oracle_matchable([[e >= v for e in row] for row in residual])
+
+    assert holds(values[0]), "the positive support holds no perfect matching"
+    lo, hi = 0, len(values) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if holds(values[mid]):
+            lo = mid
+        else:
+            hi = mid - 1
+    if n <= 7:
+        brute = max(min(residual[i][j] for j, i in enumerate(p)) for p in permutations(range(n)))
+        assert brute == values[lo], "binary search and brute force disagree"
+    return values[lo]
+
+
+def oracle_bottleneck_replay(a, terms) -> None:
+    """Replay bottleneck greedy terms (coef, Permutation) on a Fraction residual (oracle).
+
+    Each coefficient must equal the residual's bottleneck value
+    (``oracle_bottleneck``) and the least residual entry along its term,
+    and the residual must end at zero.
+    """
+    residual = [list(row) for row in a]
+    for coef, p in terms:
+        assert coef == oracle_bottleneck(residual), "coefficient is not the bottleneck value"
+        assert coef == min(residual[i][j] for j, i in enumerate(p.images)), \
+            "coefficient is not the least entry along the term"
         for j, i in enumerate(p.images):
             residual[i][j] -= coef
     assert all(e == 0 for row in residual for e in row), "nonzero residual"

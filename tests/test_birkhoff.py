@@ -12,6 +12,7 @@ from erdosmat.birkhoff import (
     reduce_affine,
     reduce_linear,
 )
+from erdosmat.enumeration import enumerate_erdos
 from erdosmat.gram import half_identity_family
 from erdosmat.linalg import (
     BistochasticMatrix,
@@ -24,6 +25,7 @@ from erdosmat.rational import format_rational
 from erdosmat.sampling import random_bistochastic, random_permutation
 
 from conftest import (
+    oracle_bottleneck_replay,
     oracle_greedy_replay,
     oracle_matchable,
     oracle_reduce,
@@ -80,6 +82,7 @@ def _check_matching(m, allowed) -> bool:
     assert sorted(m.images) == list(range(n))
     assert all(allowed[i][j] for j, i in enumerate(m.images))
     assert all(m.col_of[i] == j for j, i in enumerate(m.images))
+    assert m.free_rows == 0
     return True
 
 
@@ -124,33 +127,61 @@ def test_warm_matching_stays_perfect_after_every_deletion():
     assert checks["repaired"] > 1500 and checks["lost"] > 300
 
 
-def test_greedy_rounds_run_one_search_per_freed_column(monkeypatch):
-    rounds = []
-    delete, augment = _Matching.delete, _Matching._augment
-    searches = [0]
+def test_greedy_rounds_take_the_threshold_and_retry_only_on_joining_cells(monkeypatch):
+    rounds = []  # the matching and threshold of each round, as it ends
+    events = []  # ("search", column, reach) and ("admit", cells), in order
+    delete, admit, augment = _Matching.delete, _Matching.admit, _Matching._augment
 
-    def counting(self, *args):
-        searches[0] += 1
-        return augment(self, *args)
+    def searching(self, c0):
+        reach = augment(self, c0)
+        events.append(("search", c0, reach))
+        return reach
 
-    def recording(self, cells):
-        freed = {j for i, j in cells if self.images[j] == i}
-        searches[0] = 0
+    def admitting(self, cells):
+        cells = list(cells)
+        events.append(("admit", cells))
+        admit(self, cells)
+
+    def deleting(self, cells):
+        rounds.append((tuple(self.images), self.threshold))
         delete(self, cells)
-        if self.images is not None:
-            rounds.append((searches[0], len(freed)))
 
-    monkeypatch.setattr(birkhoff._Matching, "_augment", counting)
-    monkeypatch.setattr(birkhoff._Matching, "delete", recording)
+    monkeypatch.setattr(birkhoff._Matching, "_augment", searching)
+    monkeypatch.setattr(birkhoff._Matching, "admit", admitting)
+    monkeypatch.setattr(birkhoff._Matching, "delete", deleting)
     rng = random.Random(89)
+    counts = {"rounds": 0, "retries": 0, "idle groups": 0}
     for n in (8, 9, 10, 11, 12):
         for _ in range(3):
             a = random_bistochastic(n, rng, max_terms=3 * n)
+            rounds.clear()
+            events.clear()
             d = decompose(a)
             oracle_greedy_replay(a, d.terms)
-    assert len(rounds) > 100
-    assert all(calls == freed for calls, freed in rounds)
-    assert any(freed > 1 for _, freed in rounds)
+            # each round ends with a perfect matching whose least residual
+            # entry (checked by the replay) is the round's threshold
+            assert [(images, F(t, a.scale)) for images, t in rounds] == \
+                [(p.images, c) for c, p in d.terms]
+            counts["rounds"] += len(rounds)
+            # a failed search on column c is retried only once a cell (i, j)
+            # with column j reached and row i not reached was admitted
+            failed = None
+            for event in events:
+                if event[0] == "admit":
+                    assert failed is not None, "cells admitted with no failed search"
+                    reached_cols, reached_rows = failed[2]
+                    if any(reached_cols >> j & 1 and not reached_rows >> i & 1
+                           for i, j in event[1]):
+                        joined = True
+                    else:
+                        counts["idle groups"] += 1
+                    continue
+                if failed is not None:
+                    assert event[1] == failed[1] and joined, "retry with no joining cell"
+                    counts["retries"] += 1
+                failed, joined = (event, False) if event[2] is not None else (None, None)
+    assert counts["rounds"] > 100
+    assert counts["retries"] > 100 and counts["idle groups"] > 100
 
 
 def test_decompose_matches_oracle():
@@ -170,9 +201,21 @@ def test_decompose_matches_oracle():
     for a in matrices:
         d = decompose(a)
         oracle_greedy_replay(a, d.terms)
+        oracle_bottleneck_replay(a, d.terms)
         assert d.matrix() == a and len(d) <= (a.n - 1) ** 2 + 1
         assert _peels_in_order([{j * a.n + i for j, i in enumerate(p)} for p in d._images])
         assert reduce_linear(d) is d and decompose(a) == d
+
+
+def test_greedy_bound_meets_the_birkhoff_number_on_most_n4_classes():
+    # a class's least support has b(A) terms, the fewest of any Birkhoff
+    # decomposition, so the reduced greedy decomposition is never shorter;
+    # the bottleneck rule meets b on 39 of the 41 classes
+    classes = enumerate_erdos(4).classes
+    assert len(classes) == 41
+    gaps = [len(reduce_linear(decompose(c.canonical))) - len(c.support) for c in classes]
+    assert min(gaps) >= 0
+    assert gaps.count(0) >= 39
 
 
 def test_reduce_affine_unchanged_when_independent(ref):

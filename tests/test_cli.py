@@ -187,7 +187,8 @@ def test_decompose(r_file, capsys):
     assert main(["decompose", r_file, "--reduce", "linear", "--format", "json"]) == 0
     env = _json_out(capsys)
     assert env["payload"]["term_count"] == 3
-    assert env["payload"]["terms"][0] == {"coef": "1/5", "perm": [1, 2, 3]}
+    # the bottleneck term first: the least entry of (1 3) is 2/5
+    assert env["payload"]["terms"][0] == {"coef": "2/5", "perm": [3, 2, 1]}
 
 
 def test_decompose_reconstruction_is_checked(r_file, monkeypatch, capsys):
