@@ -11,10 +11,10 @@ sizes 8 to 12 with up to 3n terms each (``PLAN``).  One round runs, on
 every matrix in turn, ``parse_matrix`` with its bistochastic check on
 the matrix's text, ``decompose``, then ``reduce_linear`` on its output,
 the reconstruction check that ``erdosmat decompose`` makes on that
-(``r.matrix() != a``), then ``linear_independent`` and
-``affine_independent`` on the decomposition's support (read before
-either is timed, since that first read builds the decomposition's
-``(Fraction, Permutation)`` terms), ``to_json`` of the reduced
+(``r.matrix() != a``), then ``linear_independent`` on the
+decomposition's support (read before it is timed, since that first
+read builds the decomposition's ``(Fraction, Permutation)`` terms;
+``affine_independent`` runs the same body), ``to_json`` of the reduced
 decomposition, and the ``--format json`` envelope that ``erdosmat
 decompose`` prints (``cli._emit_json``, its output caught in a string
 buffer), and adds up the time of each layer.  It reports a digest of
@@ -35,11 +35,11 @@ import layers
 # (n, count): the decompose workload's sizes, the median one being n = 10
 PLAN = ((8, 2), (9, 2), (10, 6), (11, 2), (12, 2))
 LAYERS = ("parse_matrix", "decompose", "reduce_linear", "reconstruct",
-          "linear_independent", "affine_independent", "to_json", "emit")
+          "linear_independent", "to_json", "emit")
 
 
 def prepare(seed):
-    from erdosmat import affine_independent, decompose, linear_independent, reduce_linear
+    from erdosmat import decompose, linear_independent, reduce_linear
     from erdosmat.cli import _emit_json
     from erdosmat.linalg import format_matrix, parse_matrix
     from erdosmat.sampling import random_bistochastic
@@ -69,7 +69,6 @@ def prepare(seed):
             laps.time("reconstruct", reconstruct, r, a)
             support = d.support
             laps.time("linear_independent", linear_independent, support)
-            laps.time("affine_independent", affine_independent, support)
             terms = laps.time("to_json", r.to_json)
             out.append((d.to_json(), len(r), laps.time("emit", emit, a.n, r, terms)))
         return {"": (laps.seconds, {

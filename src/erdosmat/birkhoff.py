@@ -10,14 +10,14 @@ the least common multiple of its denominators.  The residual only
 falls, so the bottleneck value t only falls from round to round: one
 matching, built by augmenting paths, is carried across rounds together
 with the cells of value at least t, and the cells below t wait in a
-heap until a failed search asks for them.  Each round still zeroes a
-cell, which bounds the number of terms, and when A is Erdos every
-permutation of any Birkhoff decomposition attains the maximal trace
-(Marcus-Ree equality), so the terms are witnesses.  The result is a
-``ConvexDecomposition`` held the same way, as integer coefficients over
-that scale and image tuples, from which ``to_json`` and ``matrix`` read
-directly; its ``(Fraction, Permutation)`` terms are built only when
-read.
+heap until a failed search takes the next group of equal value.  Each
+round still zeroes a cell, which bounds the number of terms, and when
+A is Erdos every permutation of any Birkhoff decomposition attains the
+maximal trace (Marcus-Ree equality), so the terms are witnesses.  The
+result is a ``ConvexDecomposition`` held the same way, as integer
+coefficients over that scale and image tuples, from which ``to_json``
+and ``matrix`` read directly; its ``(Fraction, Permutation)`` terms are
+built only when read.
 ``reduce_linear`` shrinks a decomposition to a linearly independent
 support by Caratheodory-style exchange steps on the integer
 coefficients, one elimination per round.  ``reduce_affine`` is the same
@@ -180,15 +180,15 @@ def decompose(a: BistochasticMatrix) -> ConvexDecomposition:
     The residual only falls, so the bottleneck of the next round is at
     most t.  A round deletes the matched cells that fell below t (those
     still positive go back on the heap) and re-matches their columns; a
-    search that fails admits the next group of equal-valued cells and
-    lowers t to their value.  When every column is matched again, the
-    matching's least entry is at least t and the bottleneck at most t:
-    the round's coefficient is exactly t.
+    search that fails admits the next group of equal-valued cells, lowers
+    t to their value and runs again from the same column.  When every
+    column is matched again, the matching's least entry is at least t and
+    the bottleneck at most t: the round's coefficient is exactly t.
     """
     n = a.n
     scale = a.scale
     residual = [list(row) for row in a.numerators]
-    matching = _Matching([[False] * n] * n, (
+    matching = _Matching(n, (
         (-e, i, j) for i, row in enumerate(residual) for j, e in enumerate(row) if e > 0))
     pending = matching.pending
     remaining = scale
@@ -266,7 +266,7 @@ def reduce_affine(d: ConvexDecomposition) -> ConvexDecomposition:
 
 
 class _Matching:
-    """A perfect matching of a 0/1 grid, kept under deletions and admissions by augmenting paths.
+    """A perfect matching of the admitted cells, kept under deletions and admissions.
 
     ``cols[j]`` has bit i set when row i may serve column j.  ``images[j]``
     is the row of column j, ``col_of[i]`` the column of row i, and
@@ -279,24 +279,25 @@ class _Matching:
     ``decompose`` the admitted cells are those of residual at least
     ``threshold``.
 
-    Built from the grid with one augmenting search per column, in column
-    order (Kuhn).  ``delete`` unmatches the columns whose cells it
-    removes and re-matches each, in ascending order, with one search
-    through every column.  A search that fails proves that the admitted
-    cells hold no perfect matching: every row it reached is matched to
-    another column it reached, so the columns it reached may use one row
-    fewer than there are of them (Hall).  It then admits the pending
-    cells of the largest value, a group at a time, and searches again
-    once a group holds a cell (i, j) with column j reached and row i not;
-    any other cell leaves the failed search as it was.  With nothing
-    pending, ``images`` becomes None.
+    Built with no cell admitted, matching each column in turn (Kuhn).
+    ``delete`` unmatches the columns whose cells it removes and re-matches
+    each, in ascending order, with one search through every column.  A
+    search that fails proves that the admitted cells hold no perfect
+    matching: every row it reached is matched to another column it
+    reached (Hall).  It then admits the pending cells of the largest
+    value, one group of equal value, and searches from the same column
+    again; with nothing pending, ``images`` becomes None.  Only a cell
+    joining a column the failed search reached to a row it did not reach
+    can extend it, so a retry after a group with no such cell fails the
+    same way and leaves everything as it was: it costs one search that
+    stops where the last one did, and the groups are admitted in the same
+    order as if the retry had waited for a joining cell.
     """
 
     __slots__ = ("cols", "images", "col_of", "free_rows", "pending", "threshold")
 
-    def __init__(self, allowed, pending=()):
-        n = len(allowed)
-        self.cols = [sum(1 << i for i in range(n) if allowed[i][j]) for j in range(n)]
+    def __init__(self, n: int, pending):
+        self.cols = [0] * n
         self.images = [None] * n
         self.col_of = [None] * n
         self.free_rows = (1 << n) - 1
@@ -319,52 +320,27 @@ class _Matching:
             freed.sort()
             self._match(freed)
 
-    def admit(self, cells) -> None:
-        """Allow each cell (i, j) of ``cells``."""
-        cols = self.cols
-        for i, j in cells:
-            cols[j] |= 1 << i
-
     def _match(self, free) -> None:
-        """Match each free column in turn, admitting pending cells while a search fails."""
+        """Match each free column in turn, admitting a pending group after each failed search."""
+        cols, pending = self.cols, self.pending
         for c in free:
-            reach = self._augment(c)
-            while reach is not None:
-                if not self._admit_next(*reach):
+            while not self._augment(c):
+                if not pending:
                     self.images = None
                     return
-                reach = self._augment(c)
+                key = pending[0][0]
+                while pending and pending[0][0] == key:
+                    _, i, j = heappop(pending)
+                    cols[j] |= 1 << i
+                self.threshold = -key
 
-    def _admit_next(self, reached_cols: int, reached_rows: int) -> bool:
-        """Admit pending groups of equal value until one joins a reached column to an unreached row.
-
-        The masks are what a failed search reached.  False when the
-        heap runs out first.
-        """
-        pending = self.pending
-        while pending:
-            key = pending[0][0]
-            group = []
-            joins = False
-            while pending and pending[0][0] == key:
-                _, i, j = heappop(pending)
-                group.append((i, j))
-                if reached_cols >> j & 1 and not reached_rows >> i & 1:
-                    joins = True
-            self.threshold = -key
-            self.admit(group)
-            if joins:
-                return True
-        return False
-
-    def _augment(self, c0: int):
-        """Match the free column c0 along an augmenting path.
+    def _augment(self, c0: int) -> bool:
+        """Match the free column c0 along an augmenting path; whether one exists.
 
         A breadth-first search over alternating paths from c0; when one
         reaches a free row, every column on it moves to the row it
-        reached, c0 is matched and the result is None.  When no such path
-        exists nothing changes, and the result is the bitmasks of the
-        columns and the rows the search reached.
+        reached and c0 is matched.  When no such path exists nothing
+        changes.
         """
         cols, images, col_of = self.cols, self.images, self.col_of
         hit = cols[c0] & self.free_rows
@@ -375,7 +351,7 @@ class _Matching:
             i = low.bit_length() - 1
             images[c0] = i
             col_of[i] = c0
-            return None
+            return True
         seen = 0
         via = {}  # matched row -> the column that reached it
         queue = [c0]
@@ -393,11 +369,8 @@ class _Matching:
                         images[c], i = i, images[c]
                         col_of[images[c]] = c
                         if c == c0:
-                            return None
+                            return True
                         c = via[i]
                 via[i] = c
                 queue.append(d)
-        reached = 0
-        for c in queue:
-            reached |= 1 << c
-        return reached, seen
+        return False

@@ -43,7 +43,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MatrixParseError, NotBistochasticError, OSError) as exc:
+    except (MatrixParseError, NotBistochasticError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:
@@ -120,13 +120,13 @@ def _common_flags(p: argparse.ArgumentParser, approx: str = "") -> None:
                        help=f"add decimal renderings alongside exact literals ({approx})")
 
 
-def _read_matrix(path: str, bistochastic: bool = True):
+def _read_matrix(path: str):
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return parse_matrix(text, bistochastic=bistochastic)
+    return parse_matrix(text, bistochastic=True)
 
 
 def _matrix_json(m) -> list:
@@ -223,13 +223,14 @@ def _fmt(args, value) -> str:
 
 
 def _parse_duration(text: str) -> float:
-    text = text.strip().lower()
+    text = text.strip()
+    number = text.lower()
     factor = 1.0
-    if text.endswith(("s", "m", "h")):
-        factor = {"s": 1.0, "m": 60.0, "h": 3600.0}[text[-1]]
-        text = text[:-1]
+    if number.endswith(("s", "m", "h")):
+        factor = {"s": 1.0, "m": 60.0, "h": 3600.0}[number[-1]]
+        number = number[:-1]
     try:
-        return float(text) * factor
+        return float(number) * factor
     except ValueError:
         raise ValueError(f"malformed duration {text!r}; use e.g. 30s, 10m, 1h")
 

@@ -72,6 +72,12 @@ def test_decompose_is_deterministic():
         assert decompose(a).terms == decompose(a).terms
 
 
+def _matching(allowed):
+    """A ``_Matching`` whose pending cells are the allowed ones, all of one value."""
+    n = len(allowed)
+    return _Matching(n, [(-1, i, j) for i in range(n) for j in range(n) if allowed[i][j]])
+
+
 def _check_matching(m, allowed) -> bool:
     """``m`` holds a perfect matching inside ``allowed`` exactly when one exists; whether it does."""
     n = len(allowed)
@@ -93,7 +99,7 @@ def test_matching_is_perfect_exactly_when_one_exists():
         for density in (0.2, 0.35, 0.5, 0.7, 0.9):
             for _ in range(40):
                 allowed = [[rng.random() < density for _ in range(n)] for _ in range(n)]
-                found[_check_matching(_Matching(allowed), allowed)] += 1
+                found[_check_matching(_matching(allowed), allowed)] += 1
     # both grids with and without a perfect matching are covered
     assert min(found.values()) > 100
 
@@ -105,7 +111,7 @@ def test_warm_matching_stays_perfect_after_every_deletion():
         for density in (0.4, 0.6, 0.8, 1.0):
             for _ in range(20):
                 allowed = [[rng.random() < density for _ in range(n)] for _ in range(n)]
-                m = _Matching(allowed)
+                m = _matching(allowed)
                 _check_matching(m, allowed)
                 while True:
                     cells = [(i, j) for i in range(n) for j in range(n) if allowed[i][j]]
@@ -127,35 +133,33 @@ def test_warm_matching_stays_perfect_after_every_deletion():
     assert checks["repaired"] > 1500 and checks["lost"] > 300
 
 
-def test_greedy_rounds_take_the_threshold_and_retry_only_on_joining_cells(monkeypatch):
+def test_greedy_rounds_take_the_threshold_and_retry_after_each_admitted_group(monkeypatch):
     rounds = []  # the matching and threshold of each round, as it ends
-    events = []  # ("search", column, reach) and ("admit", cells), in order
-    delete, admit, augment = _Matching.delete, _Matching.admit, _Matching._augment
+    searches = []  # (column, found, state before, state after), in order
+    delete, augment = _Matching.delete, _Matching._augment
+
+    def state(m):
+        return list(m.pending), list(m.cols), m.threshold
 
     def searching(self, c0):
-        reach = augment(self, c0)
-        events.append(("search", c0, reach))
-        return reach
-
-    def admitting(self, cells):
-        cells = list(cells)
-        events.append(("admit", cells))
-        admit(self, cells)
+        before = state(self)
+        found = augment(self, c0)
+        searches.append((c0, found, before, state(self)))
+        return found
 
     def deleting(self, cells):
         rounds.append((tuple(self.images), self.threshold))
         delete(self, cells)
 
     monkeypatch.setattr(birkhoff._Matching, "_augment", searching)
-    monkeypatch.setattr(birkhoff._Matching, "admit", admitting)
     monkeypatch.setattr(birkhoff._Matching, "delete", deleting)
     rng = random.Random(89)
-    counts = {"rounds": 0, "retries": 0, "idle groups": 0}
+    counts = {"rounds": 0, "retries": 0}
     for n in (8, 9, 10, 11, 12):
         for _ in range(3):
             a = random_bistochastic(n, rng, max_terms=3 * n)
             rounds.clear()
-            events.clear()
+            searches.clear()
             d = decompose(a)
             oracle_greedy_replay(a, d.terms)
             # each round ends with a perfect matching whose least residual
@@ -163,25 +167,27 @@ def test_greedy_rounds_take_the_threshold_and_retry_only_on_joining_cells(monkey
             assert [(images, F(t, a.scale)) for images, t in rounds] == \
                 [(p.images, c) for c, p in d.terms]
             counts["rounds"] += len(rounds)
-            # a failed search on column c is retried only once a cell (i, j)
-            # with column j reached and row i not reached was admitted
-            failed = None
-            for event in events:
-                if event[0] == "admit":
-                    assert failed is not None, "cells admitted with no failed search"
-                    reached_cols, reached_rows = failed[2]
-                    if any(reached_cols >> j & 1 and not reached_rows >> i & 1
-                           for i, j in event[1]):
-                        joined = True
-                    else:
-                        counts["idle groups"] += 1
+            # a failed search on column c is followed by a search on c, and
+            # in between exactly the heap's largest group of equal-valued
+            # cells is admitted, with the threshold lowered to its value
+            for (c, found, _, after), (c1, _, before, _) in zip(searches, searches[1:]):
+                if found:
                     continue
-                if failed is not None:
-                    assert event[1] == failed[1] and joined, "retry with no joining cell"
-                    counts["retries"] += 1
-                failed, joined = (event, False) if event[2] is not None else (None, None)
-    assert counts["rounds"] > 100
-    assert counts["retries"] > 100 and counts["idle groups"] > 100
+                (pending, cols, threshold), (pending1, cols1, threshold1) = after, before
+                assert c1 == c, "a failed search is not retried on its column"
+                pending = sorted(pending)
+                key = pending[0][0]
+                group = [cell for cell in pending if cell[0] == key]
+                assert sorted(pending1) == pending[len(group):]
+                for _, i, j in group:
+                    cols[j] |= 1 << i
+                assert cols1 == cols
+                assert threshold1 == -key and (threshold is None or threshold1 < threshold)
+                counts["retries"] += 1
+            # the last round zeroes the residual: its search fails with
+            # nothing left to admit
+            assert not searches[-1][1] and not searches[-1][3][0]
+    assert counts["rounds"] > 100 and counts["retries"] > 100
 
 
 def test_decompose_matches_oracle():

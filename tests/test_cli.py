@@ -90,6 +90,19 @@ def test_verify_rejects_non_ascii_digits(tmp_path, capsys):
         "error: line 2, entry 1: malformed rational literal '1/\uff12'\n")
 
 
+def test_undecodable_input_is_an_input_error(tmp_path, monkeypatch, capsys):
+    import io
+
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff 1\n")
+    assert main(["verify", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    # stdin decoded strictly, as under a UTF-8 locale
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff 1\n"), encoding="utf-8"))
+    assert main(["verify", "-"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_missing_file(capsys):
     assert main(["verify", "/nonexistent/m.txt"]) == 3
 
@@ -147,6 +160,11 @@ def test_enumerate_bad_budget(capsys):
     for budget in ("", "  "):
         assert main(["enumerate", "-n", "2", "--budget", budget, "--quiet"]) == 2
         assert "malformed duration ''" in capsys.readouterr().err
+    # the unit is quoted as given
+    for budget in ("abcm", "s"):
+        assert main(["enumerate", "-n", "2", "--budget", budget, "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed duration '{budget}'; use e.g. 30s, 10m, 1h\n")
     for budget in ("nan", "0s"):
         assert main(["enumerate", "-n", "2", "--budget", budget, "--quiet"]) == 2
         assert "budget must be positive" in capsys.readouterr().err
